@@ -11,8 +11,7 @@
 //     --run <index>       test run to analyze            (default last)
 //     --threshold <t>     problem threshold              (default 0.05)
 //     --backend <name>    evaluation backend             (default interpreter)
-//                         any registry name (--list-backends); legacy
-//                         shorthands interpreter|sql|client|bulk still work
+//                         any registry name (--list-backends)
 //     --spec <file.asl>   additional property documents  (repeatable)
 //     --top <n>           rows to print                  (default 15)
 //     --format <f>        text|markdown|csv              (default text)
@@ -105,23 +104,9 @@ int main(int argc, char** argv) {
       options.run = static_cast<std::size_t>(std::atoll(next().c_str()));
     } else if (arg == "--threshold") {
       options.threshold = std::atof(next().c_str());
-    } else if (arg == "--strategy" || arg == "--backend") {
-      const std::string value = next();
-      // Legacy shorthands map onto registry names; anything else must be a
-      // registered backend.
-      if (value == "interpreter" || cosy::EvalBackend::exists(value)) {
-        options.backend = value;
-      } else if (value == "sql") {
-        options.backend = "sql-pushdown";
-      } else if (value == "whole") {
-        options.backend = "sql-whole-condition";
-      } else if (value == "client") {
-        options.backend = "client-fetch";
-      } else if (value == "bulk") {
-        options.backend = "bulk-fetch";
-      } else {
-        return usage(argv[0]);
-      }
+    } else if (arg == "--backend") {
+      options.backend = next();
+      if (!cosy::EvalBackend::exists(options.backend)) return usage(argv[0]);
     } else if (arg == "--spec") {
       options.extra_specs.push_back(next());
     } else if (arg == "--top") {

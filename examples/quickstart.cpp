@@ -44,15 +44,15 @@ int main() {
   std::cout << "imported " << import.rows << " rows with "
             << import.statements << " statements\n\n";
 
-  // 4. Analyze the 16 PE run with both evaluation strategies.
+  // 4. Analyze the 16 PE run with two evaluation backends.
   cosy::Analyzer analyzer(model, store, handles, &conn);
 
   cosy::AnalyzerConfig config;
-  config.strategy = cosy::EvalStrategy::kInterpreter;
+  config.backend = "interpreter";
   const cosy::AnalysisReport report = analyzer.analyze(1, config);
   std::cout << report.to_table(12) << '\n';
 
-  config.strategy = cosy::EvalStrategy::kSqlPushdown;
+  config.backend = "sql-pushdown";
   const cosy::AnalysisReport sql_report = analyzer.analyze(1, config);
   std::cout << "SQL pushdown agrees: "
             << (sql_report.findings.size() == report.findings.size() &&

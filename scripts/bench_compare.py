@@ -5,7 +5,10 @@ Usage:
     bench_compare.py BASELINE.json CURRENT.json [--threshold PCT]
 
 Matches benchmarks by name and prints a table of real/cpu time deltas plus
-any user counters that moved; benchmarks present on only one side are
+any user counters that moved. A report written with
+--benchmark_repetitions has one iteration row per repetition: those rows are
+reduced to their median (real time, cpu time and every counter) and the
+note column prints their sample count and coefficient of variation; benchmarks present on only one side are
 listed as added/removed (never crashed on, never silently skipped). Exit
 code is 0 unless an input is unreadable or malformed (not valid
 google-benchmark JSON) or --strict promoted --fail-above regressions to a
@@ -16,14 +19,14 @@ away from the committed baseline.
 
 --pair PREFIX_A PREFIX_B (repeatable) additionally prints current-report
 real-time ratios between two benchmark families (the Release CI job uses it
-for the partition-union-vs-flat and distributed-scatter-vs-serial deltas of
-bench_pushdown).
+for the partition-union-vs-flat delta of bench_pushdown).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -47,31 +50,45 @@ def load_report(path: str) -> dict[str, dict]:
             f"bench_compare: {path} is not a google-benchmark JSON report "
             "(no 'benchmarks' list)"
         )
-    entries = {}
-    duplicates = set()
+    rows: dict[str, list[dict]] = {}
     for bench in payload.get("benchmarks", []):
         if not isinstance(bench, dict) or "name" not in bench:
             raise SystemExit(
                 f"bench_compare: {path} has a benchmark entry without a name"
             )
-        # Aggregate rows (mean/median/stddev) would double-count; keep the
-        # plain iterations rows, which is all the smoke reports emit.
+        # Aggregate rows (mean/median/stddev) would double-count; the
+        # median below is recomputed from the plain iteration rows.
         if bench.get("run_type", "iteration") != "iteration":
             continue
-        if bench["name"] in entries:
-            duplicates.add(bench["name"])
-        entries[bench["name"]] = bench
-    if duplicates:
-        # A --benchmark_repetitions report has several iteration rows per
-        # name; comparing an arbitrary one is ambiguous, so say which rows
-        # this diff is built from instead of pretending it is exact.
-        print(
-            f"bench_compare: warning: {path} repeats "
-            f"{', '.join(sorted(duplicates))}; using the last row of each "
-            "(rerun without --benchmark_repetitions for exact diffs)",
-            file=sys.stderr,
-        )
-    return entries
+        rows.setdefault(bench["name"], []).append(bench)
+    return {name: reduce_repetitions(reps) for name, reps in rows.items()}
+
+
+def reduce_repetitions(reps: list[dict]) -> dict:
+    """One entry per benchmark: the single row, or the median of the
+    repetition rows with their count and real-time CV attached."""
+    if len(reps) == 1:
+        return reps[0]
+    entry = dict(reps[-1])
+    for key, value in reps[-1].items():
+        samples = [rep.get(key) for rep in reps]
+        if key not in ("repetition_index", "repetitions") and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in samples
+        ):
+            entry[key] = statistics.median(samples)
+    real = [rep.get("real_time", 0.0) for rep in reps]
+    mean = statistics.fmean(real)
+    entry["rep_samples"] = len(reps)
+    entry["rep_cv"] = statistics.pstdev(real) / mean if mean > 0 else 0.0
+    return entry
+
+
+def fmt_spread(entry: dict) -> str:
+    """'n=7 cv=3.1%' for a reduced repetition entry, '' for a single row."""
+    if "rep_samples" not in entry:
+        return ""
+    return f"n={entry['rep_samples']} cv={entry['rep_cv'] * 100.0:.1f}%"
 
 
 def fmt_time(entry: dict, key: str) -> str:
@@ -90,6 +107,7 @@ def fmt_delta(base: float, cur: float) -> str:
 _BUILTIN_KEYS = frozenset({
     "family_index", "per_family_instance_index", "repetitions",
     "repetition_index", "threads", "iterations", "real_time", "cpu_time",
+    "rep_samples", "rep_cv",
 })
 
 
@@ -210,7 +228,11 @@ def main() -> int:
             continue
         b, c = base[name], cur[name]
         delta = fmt_delta(b.get("real_time", 0.0), c.get("real_time", 0.0))
-        notes = []
+        notes = [
+            f"{side} {spread}"
+            for side, spread in (("base", fmt_spread(b)), ("cur", fmt_spread(c)))
+            if spread
+        ]
         if (
             b.get("real_time", 0.0) > 0
             and abs(c.get("real_time", 0.0) - b.get("real_time", 0.0))

@@ -102,7 +102,7 @@ BatchResult BatchAnalyzer::analyze_all(const BatchConfig& config) {
 BatchResult BatchAnalyzer::analyze_runs(std::span<const std::size_t> runs,
                                         std::span<const PropertySuite> suites,
                                         const BatchConfig& config) {
-  const std::string backend = config.backend_name();
+  const std::string& backend = config.backend;
   // Resolving the requirement through the registry also validates the name
   // up front — before any worker spins up.
   const bool needs_db = EvalBackend::requires_connection(backend);
@@ -154,9 +154,6 @@ BatchResult BatchAnalyzer::analyze_runs(std::span<const std::size_t> runs,
         per_run.basis_region = config.basis_region;
         per_run.properties = suites[s].properties;
         per_run.plan_cache = cache;
-        // Batch-level parallelism already saturates the workers; sharding
-        // backends must not fan out again inside each task.
-        per_run.threads = 1;
 
         BatchItem& item = result.items[slot];
         item.run_index = runs[r];

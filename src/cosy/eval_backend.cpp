@@ -1,18 +1,17 @@
 #include "cosy/eval_backend.hpp"
 
 #include <algorithm>
-#include <future>
+#include <atomic>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "cosy/db_import.hpp"
 #include "cosy/sql_eval.hpp"
 #include "db/connection.hpp"
 #include "db/connection_pool.hpp"
-#include "db/distributed.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 #include "support/thread_pool.hpp"
@@ -40,10 +39,37 @@ void EvalBackend::evaluate_all(std::span<const EvalRequest> requests,
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Interpreter family
+/// The one intra-run sharding path. Runs `drain(w, next)` for w in
+/// [0, workers) as tasks on the process pool; every worker evaluates the
+/// request indices it claims from the shared `next()` and writes result
+/// slot i for index i. Claiming one index at a time balances properties of
+/// very different cost; indexing the results keeps the reduction in request
+/// order, so reports are byte-identical for any worker count. 0 or 1 worker
+/// runs serially on the caller. Must not be called from a global_pool()
+/// task (the caller blocks until every worker finished).
+template <typename Drain>
+void shard_requests(std::size_t n, std::size_t workers, const Drain& drain) {
+  workers = std::min(workers, n);
+  std::atomic<std::size_t> cursor{0};
+  const auto next = [&cursor] {
+    return cursor.fetch_add(1, std::memory_order_relaxed);
+  };
+  if (workers <= 1) {
+    drain(std::size_t{0}, next);
+    return;
+  }
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    tasks.emplace_back([&drain, &next, w] { drain(w, next); });
+  }
+  support::global_pool().run_all(std::move(tasks));
+}
 
-class InterpreterBackend : public EvalBackend {
+// ---------------------------------------------------------------------------
+// Interpreter
+
+class InterpreterBackend final : public EvalBackend {
  public:
   explicit InterpreterBackend(const EvalBackendDeps& deps)
       : EvalBackend(deps), interp_(*deps.model, *deps.store) {}
@@ -58,66 +84,19 @@ class InterpreterBackend : public EvalBackend {
     return interp_.evaluate_property(property, args);
   }
 
- protected:
-  const asl::Interpreter interp_;
-};
-
-/// The interpreter with the ROADMAP's intra-run parallelism: one huge run's
-/// context list is split into contiguous shards, one per worker, and every
-/// shard writes its own slice of the result array. The reduction order is
-/// the request order regardless of scheduling, so reports are byte-identical
-/// for any thread count.
-class ShardedInterpreterBackend final : public InterpreterBackend {
- public:
-  explicit ShardedInterpreterBackend(const EvalBackendDeps& deps)
-      : InterpreterBackend(deps), threads_(deps.threads) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "interpreter-sharded";
-  }
-
   void evaluate_all(std::span<const EvalRequest> requests,
                     std::span<asl::PropertyResult> results) override {
-    const std::size_t n = requests.size();
-    if (n == 0) return;
-    if (threads_ == 0) {
-      // No explicit worker count: shard on the long-lived process pool
-      // instead of spawning threads per analysis (parallel_for chunks
-      // contiguously; results are indexed, so reduction is deterministic).
-      support::global_pool().parallel_for(n, [&](std::size_t i) {
-        results[i] = interp_.evaluate_property(*requests[i].property,
-                                               *requests[i].args);
-      });
-      return;
-    }
-    const std::size_t shards = std::min(threads_, n);
-    if (shards <= 1) {
-      EvalBackend::evaluate_all(requests, results);
-      return;
-    }
-    // An explicit count gets its own pool: tests (and callers embedding the
-    // backend under an already-saturated scheduler) rely on exactly this
-    // many workers, which the hardware-sized global pool cannot promise.
-    support::ThreadPool pool(shards);
-    std::vector<std::future<void>> done;
-    done.reserve(shards);
-    const std::size_t chunk = (n + shards - 1) / shards;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t begin = s * chunk;
-      const std::size_t end = std::min(begin + chunk, n);
-      if (begin >= end) break;
-      done.push_back(pool.submit([this, requests, results, begin, end] {
-        for (std::size_t i = begin; i < end; ++i) {
-          results[i] = interp_.evaluate_property(*requests[i].property,
-                                                 *requests[i].args);
-        }
-      }));
-    }
-    for (std::future<void>& f : done) f.get();  // rethrows shard failures
+    shard_requests(requests.size(), deps().threads,
+                   [&](std::size_t, const auto& next) {
+                     for (std::size_t i; (i = next()) < requests.size();) {
+                       results[i] = interp_.evaluate_property(
+                           *requests[i].property, *requests[i].args);
+                     }
+                   });
   }
 
  private:
-  std::size_t threads_;
+  const asl::Interpreter interp_;
 };
 
 // ---------------------------------------------------------------------------
@@ -129,6 +108,8 @@ class SqlBackend final : public EvalBackend {
              const EvalBackendDeps& deps, bool common_subexpr = true)
       : EvalBackend(deps),
         name_(name),
+        mode_(mode),
+        common_subexpr_(common_subexpr),
         eval_(*deps.model, *deps.conn, mode, deps.plan_cache, common_subexpr) {
     eval_.set_shard_cache(deps.shard_cache);
   }
@@ -143,212 +124,56 @@ class SqlBackend final : public EvalBackend {
     return eval_.evaluate_property(property, args);
   }
 
-  [[nodiscard]] EvalStats stats() const override {
-    return {eval_.queries_issued(), eval_.plan_cache_hits(),
-            eval_.plan_cache_misses(), eval_.whole_fallbacks()};
-  }
-
- private:
-  std::string_view name_;  // points at the registry key (stable)
-  SqlEvaluator eval_;
-};
-
-/// The ROADMAP's sharded *SQL* backend: one run's context list is split into
-/// contiguous shards, each shard leases its own session from the
-/// db::ConnectionPool and drives a whole-condition (+CSE) SqlEvaluator over
-/// it. Results land in their request slots, so the reduction is the same
-/// deterministic index order `interpreter-sharded` uses — reports are
-/// byte-identical to `sql-whole-condition` for any thread count. The shared
-/// PlanCache (when supplied) means each property still compiles once per
-/// analysis, not once per shard.
-class ShardedSqlBackend final : public EvalBackend {
- public:
-  explicit ShardedSqlBackend(const EvalBackendDeps& deps)
-      : EvalBackend(deps), threads_(deps.threads) {
-    if (deps.plan_cache != nullptr &&
-        &deps.plan_cache->model() != deps.model) {
-      // Same instance-pinning guard SqlEvaluator enforces, surfaced at
-      // creation instead of first shard evaluation.
-      throw EvalError(
-          "plan cache was compiled against a different model instance; "
-          "plans hold pointers into that model's AST");
-    }
-  }
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "sql-sharded";
-  }
-
-  [[nodiscard]] asl::PropertyResult evaluate(
-      const asl::PropertyInfo& property,
-      const std::vector<asl::RtValue>& args) override {
-    if (deps().conn != nullptr) {
-      return primary().evaluate_property(property, args);
-    }
-    // Pool-only construction: lease a session for this one evaluation.
-    db::ConnectionPool::Lease lease = deps().pool->acquire();
-    SqlEvaluator eval(*deps().model, *lease, SqlEvalMode::kWholeCondition,
-                      deps().plan_cache);
-    eval.set_shard_cache(deps().shard_cache);
-    const asl::PropertyResult result = eval.evaluate_property(property, args);
-    absorb(eval);
-    return result;
-  }
-
+  /// With a pool and `threads` > 1, worker 0 evaluates on `conn` and every
+  /// other worker on a session leased for its whole share; the PlanCache
+  /// (when supplied) is shared, so each property still compiles once.
   void evaluate_all(std::span<const EvalRequest> requests,
                     std::span<asl::PropertyResult> results) override {
-    const std::size_t n = requests.size();
-    if (n == 0) return;
-    std::size_t shards =
-        threads_ != 0 ? threads_
-                      : std::max<std::size_t>(
-                            1, std::thread::hardware_concurrency());
-    if (deps().pool != nullptr) {
-      // Never ask for more leases than the pool can hand out at once: a
-      // shard holds its session for the whole chunk, so oversubscription
-      // would serialize on acquire() without buying anything.
-      shards = std::min(shards, deps().pool->capacity());
-    }
-    shards = std::min(shards, n);
-    if (shards <= 1 || deps().pool == nullptr) {
-      if (deps().conn == nullptr && deps().pool != nullptr) {
-        // Serial, pool-only: hold one lease for the whole list instead of
-        // re-leasing per context.
-        db::ConnectionPool::Lease lease = deps().pool->acquire();
-        SqlEvaluator eval(*deps().model, *lease, SqlEvalMode::kWholeCondition,
-                          deps().plan_cache);
-        eval.set_shard_cache(deps().shard_cache);
-        for (std::size_t i = 0; i < n; ++i) {
-          results[i] = eval.evaluate_property(*requests[i].property,
-                                              *requests[i].args);
-        }
-        absorb(eval);
-        return;
-      }
-      EvalBackend::evaluate_all(requests, results);
-      return;
-    }
-
-    // Declaration order matters on the error path: the pool must be
-    // destroyed (joining every worker) BEFORE the mutex and futures that
-    // its tasks reference, or an exception rethrown from get() would
-    // unwind them while shards still run.
+    db::ConnectionPool* pool = deps().pool;
+    const std::size_t workers =
+        pool == nullptr ? 1 : std::min(deps().threads, 1 + pool->capacity());
     std::mutex stats_mutex;
-    std::vector<std::future<void>> done;
-    support::ThreadPool pool(shards);
-    done.reserve(shards);
-    const std::size_t chunk = (n + shards - 1) / shards;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t begin = s * chunk;
-      const std::size_t end = std::min(begin + chunk, n);
-      if (begin >= end) break;
-      done.push_back(pool.submit([this, requests, results, begin, end,
-                                  &stats_mutex] {
-        db::ConnectionPool::Lease lease = deps().pool->acquire();
-        SqlEvaluator eval(*deps().model, *lease, SqlEvalMode::kWholeCondition,
-                          deps().plan_cache);
-        eval.set_shard_cache(deps().shard_cache);
-        for (std::size_t i = begin; i < end; ++i) {
-          results[i] = eval.evaluate_property(*requests[i].property,
-                                              *requests[i].args);
-        }
-        const std::lock_guard lock(stats_mutex);
-        absorb(eval);
-      }));
-    }
-    for (std::future<void>& f : done) f.get();  // rethrows shard failures
+    shard_requests(
+        requests.size(), workers, [&](std::size_t w, const auto& next) {
+          const auto drain = [&](SqlEvaluator& eval) {
+            for (std::size_t i; (i = next()) < requests.size();) {
+              results[i] = eval.evaluate_property(*requests[i].property,
+                                                  *requests[i].args);
+            }
+          };
+          if (w == 0) {
+            drain(eval_);
+            return;
+          }
+          db::ConnectionPool::Lease lease = pool->acquire();
+          SqlEvaluator eval(*deps().model, *lease, mode_, deps().plan_cache,
+                            common_subexpr_);
+          eval.set_shard_cache(deps().shard_cache);
+          drain(eval);
+          const std::lock_guard lock(stats_mutex);
+          add_stats(workers_, eval);
+        });
   }
 
   [[nodiscard]] EvalStats stats() const override {
-    EvalStats out = stats_;
-    if (primary_) {
-      out.sql_queries += primary_->queries_issued();
-      out.plan_cache_hits += primary_->plan_cache_hits();
-      out.plan_cache_misses += primary_->plan_cache_misses();
-      out.whole_fallbacks += primary_->whole_fallbacks();
-    }
+    EvalStats out = workers_;
+    add_stats(out, eval_);
     return out;
   }
 
  private:
-  SqlEvaluator& primary() {
-    if (!primary_) {
-      primary_.emplace(*deps().model, *deps().conn,
-                       SqlEvalMode::kWholeCondition, deps().plan_cache);
-      primary_->set_shard_cache(deps().shard_cache);
-    }
-    return *primary_;
+  static void add_stats(EvalStats& into, const SqlEvaluator& eval) {
+    into.sql_queries += eval.queries_issued();
+    into.plan_cache_hits += eval.plan_cache_hits();
+    into.plan_cache_misses += eval.plan_cache_misses();
+    into.whole_fallbacks += eval.whole_fallbacks();
   }
 
-  void absorb(const SqlEvaluator& eval) {
-    stats_.sql_queries += eval.queries_issued();
-    stats_.plan_cache_hits += eval.plan_cache_hits();
-    stats_.plan_cache_misses += eval.plan_cache_misses();
-    stats_.whole_fallbacks += eval.whole_fallbacks();
-  }
-
-  std::size_t threads_;
-  std::optional<SqlEvaluator> primary_;  // deps().conn-backed, serial path
-  EvalStats stats_;  // accumulated from finished shard evaluators
-};
-
-/// The distributed scatter/gather backend: whole-condition evaluation with
-/// statement execution routed through a db::Coordinator. Each statement's
-/// partition-pinned `part<K>` CTEs scatter across Worker replicas (built
-/// here from a ReplicaSet of the session's database unless the deps supply
-/// a coordinator), the gathered rows are injected into the residual merge,
-/// and failures/stragglers are absorbed by retry and re-issue — reports
-/// stay byte-identical to `sql-whole-condition` for any worker count. The
-/// worker kind follows the session's cost profile: modelled-remote workers
-/// (each behind its own db::Connection paying per-shard wire costs) for
-/// distributed profiles, in-process workers otherwise.
-class DistributedSqlBackend final : public EvalBackend {
- public:
-  explicit DistributedSqlBackend(const EvalBackendDeps& deps)
-      : EvalBackend(deps) {
-    if (deps.coordinator != nullptr) {
-      coordinator_ = deps.coordinator;
-    } else {
-      if (deps.conn == nullptr) lease_.emplace(deps.pool->acquire());
-      db::Connection& session = deps.conn != nullptr ? *deps.conn : **lease_;
-      const std::size_t workers = deps.threads != 0 ? deps.threads : 2;
-      replicas_.emplace(session.database(), workers);
-      owned_coordinator_.emplace(
-          session, db::make_workers(*replicas_, session.profile()));
-      // Staleness guard: ingest into the session's database between
-      // analyses version-bumps partitions, and the coordinator refreshes
-      // the affected replica partitions before the next scatter.
-      owned_coordinator_->attach_replicas(&*replicas_);
-      coordinator_ = &*owned_coordinator_;
-    }
-    eval_.emplace(*deps.model, coordinator_->session(),
-                  SqlEvalMode::kWholeCondition, deps.plan_cache);
-    eval_->set_coordinator(coordinator_);
-  }
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "sql-distributed";
-  }
-
-  [[nodiscard]] asl::PropertyResult evaluate(
-      const asl::PropertyInfo& property,
-      const std::vector<asl::RtValue>& args) override {
-    return eval_->evaluate_property(property, args);
-  }
-
-  [[nodiscard]] EvalStats stats() const override {
-    return {eval_->queries_issued(), eval_->plan_cache_hits(),
-            eval_->plan_cache_misses(), eval_->whole_fallbacks()};
-  }
-
- private:
-  // Declaration order is destruction order in reverse: the evaluator and
-  // coordinator go before the replicas they execute against, the lease last.
-  std::optional<db::ConnectionPool::Lease> lease_;
-  std::optional<db::ReplicaSet> replicas_;
-  std::optional<db::Coordinator> owned_coordinator_;
-  db::Coordinator* coordinator_ = nullptr;
-  std::optional<SqlEvaluator> eval_;
+  std::string_view name_;  // points at the registry key (stable)
+  SqlEvalMode mode_;
+  bool common_subexpr_;
+  SqlEvaluator eval_;  // on deps().conn: evaluate() and worker 0
+  EvalStats workers_;  // accumulated from finished pool-session workers
 };
 
 /// One bulk transfer of every table in prepare(), then in-memory
@@ -405,17 +230,12 @@ Registry& registry() {
       std::string key = reg.name;
       r.entries.emplace(std::move(key), std::move(reg));
     };
-    add({"interpreter", "tree-walking evaluation over the in-memory store",
+    add({"interpreter",
+         "tree-walking evaluation over the in-memory store (threads > 1 "
+         "shards the context list)",
          /*needs_store=*/true, /*needs_connection=*/false,
          [](const EvalBackendDeps& deps) {
            return std::make_unique<InterpreterBackend>(deps);
-         }});
-    add({"interpreter-sharded",
-         "interpreter with the context list sharded across a thread pool "
-         "(deterministic reduction order)",
-         /*needs_store=*/true, /*needs_connection=*/false,
-         [](const EvalBackendDeps& deps) {
-           return std::make_unique<ShardedInterpreterBackend>(deps);
          }});
     add({"sql-pushdown",
          "set operations compile to SQL; scalar glue stays client-side",
@@ -445,26 +265,6 @@ Registry& registry() {
                "sql-whole-condition-plain", SqlEvalMode::kWholeCondition,
                deps, /*common_subexpr=*/false);
          }});
-    add({"sql-sharded",
-         "whole-condition evaluation (incl. the partition-union rewrite) "
-         "with one run's context list sharded across ConnectionPool "
-         "sessions (deterministic reduction)",
-         /*needs_store=*/false, /*needs_connection=*/true,
-         [](const EvalBackendDeps& deps) {
-           return std::make_unique<ShardedSqlBackend>(deps);
-         },
-         /*pool_satisfies_connection=*/true});
-    add({"sql-distributed",
-         "whole-condition statements executed through a coordinator/worker "
-         "split: partition-pinned part<K> CTEs scatter to per-worker "
-         "Database replicas (modelled-remote or in-process by connection "
-         "profile) with straggler re-issue and retry-with-backoff, merged "
-         "locally — byte-identical to sql-whole-condition",
-         /*needs_store=*/false, /*needs_connection=*/true,
-         [](const EvalBackendDeps& deps) {
-           return std::make_unique<DistributedSqlBackend>(deps);
-         },
-         /*pool_satisfies_connection=*/true});
     add({"client-fetch",
          "record-at-a-time component fetching with all evaluation in the "
          "tool (the paper's §5 slow path)",
@@ -514,12 +314,9 @@ std::unique_ptr<EvalBackend> EvalBackend::create(std::string_view name,
     throw EvalError(support::cat("backend '", name,
                                  "' needs an in-memory object store"));
   }
-  if (reg.needs_connection && deps.conn == nullptr &&
-      !(reg.pool_satisfies_connection && deps.pool != nullptr)) {
-    throw EvalError(support::cat(
-        "backend '", name, "' needs a database ",
-        reg.pool_satisfies_connection ? "connection or connection pool"
-                                      : "connection"));
+  if (reg.needs_connection && deps.conn == nullptr) {
+    throw EvalError(
+        support::cat("backend '", name, "' needs a database connection"));
   }
   return reg.factory(deps);
 }

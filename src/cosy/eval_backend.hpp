@@ -15,7 +15,6 @@
 namespace kojak::db {
 class Connection;
 class ConnectionPool;
-class Coordinator;
 }
 
 namespace kojak::cosy {
@@ -49,24 +48,20 @@ struct EvalBackendDeps {
   const asl::Model* model = nullptr;
   const asl::ObjectStore* store = nullptr;
   db::Connection* conn = nullptr;
-  /// Session pool for backends that fan one run's context list out across
-  /// multiple database sessions (sql-sharded). Backends that accept a pool
-  /// fall back to `conn` when it is null (and vice versa).
+  /// Extra sessions the SQL backends lease when `threads` > 1: one per
+  /// worker beyond the first, which keeps `conn`. Null keeps SQL
+  /// evaluation serial on `conn`.
   db::ConnectionPool* pool = nullptr;
   PlanCache* plan_cache = nullptr;
-  /// Worker count for intra-run sharding backends; 0 means hardware.
+  /// Workers one run's context list is sharded across (the interpreter
+  /// always, the SQL backends when `pool` is set). 0 or 1 evaluates
+  /// serially on the calling thread.
   std::size_t threads = 0;
-  /// Pre-built scatter/gather coordinator for sql-distributed (tests inject
-  /// one with faulted workers). Null: the backend builds its own worker
-  /// fleet — `threads` workers (default 2) over a ReplicaSet of the
-  /// session's database, modelled-remote when the session profile is
-  /// distributed, in-process otherwise.
-  db::Coordinator* coordinator = nullptr;
   /// Incremental shard-result cache for the whole-condition SQL family
   /// (cosy::Monitor supplies one that lives across epochs): partition-pinned
   /// `part<K>` CTE results are served from cache and only dirty partitions
   /// recompute. Null: every pass recomputes everything (the cold behavior).
-  /// Thread-safe, so the sharded backend shares it across its sessions.
+  /// Thread-safe, so sharded workers share it across their sessions.
   ShardResultCache* shard_cache = nullptr;
 };
 
@@ -74,17 +69,16 @@ struct EvalBackendDeps {
 ///
 ///   prepare(model, run)  — once per analyzed run, before any evaluation;
 ///   evaluate(prop, args) — one (property, context) pair;
-///   evaluate_all(...)    — a whole context list (overridable for intra-run
-///                          parallelism; results are indexed by request, so
-///                          any schedule reduces deterministically);
+///   evaluate_all(...)    — a whole context list (the interpreter and SQL
+///                          backends shard it across `threads` workers;
+///                          results are indexed by request, so any schedule
+///                          reduces deterministically);
 ///   stats()              — the backend's accounting for the analysis.
 ///
 /// Backends are named, listable, and constructible from config/CLI strings
 /// through the registry (`EvalBackend::create`). Built-ins:
 ///
 ///   interpreter          — in-memory object store, the semantic reference;
-///   interpreter-sharded  — the same, with the context list sharded across
-///                          a support::ThreadPool (intra-run parallelism);
 ///   sql-pushdown         — set operations compile to SQL, scalars client-side;
 ///   sql-whole-condition  — the paper-§6 path: the entire condition +
 ///                          confidence + severity surface compiles into ONE
@@ -92,10 +86,7 @@ struct EvalBackendDeps {
 ///                          with common subexpressions hoisted into CTEs
 ///                          (each shared subquery runs once per context);
 ///   sql-whole-condition-plain — the same without the CSE/CTE pass (the
-///                          bench ablation baseline);
-///   sql-sharded          — whole-condition evaluation with one run's
-///                          context list sharded across ConnectionPool
-///                          sessions (deterministic index-based reduction);
+///                          bench ablation baseline and differential oracle);
 ///   client-fetch         — the §5 slow path, record-at-a-time fetching;
 ///   bulk-fetch           — one bulk transfer per table, then interpretation.
 ///
@@ -117,9 +108,9 @@ class EvalBackend {
       const std::vector<asl::RtValue>& args) = 0;
 
   /// Evaluates `requests[i]` into `results[i]` for every i. The base
-  /// implementation is a serial loop; sharding backends override it. The
-  /// index-based contract keeps reduction order deterministic for any
-  /// internal schedule.
+  /// implementation is a serial loop; the interpreter and SQL backends
+  /// override it to shard across `threads` workers. The index-based
+  /// contract keeps reduction order deterministic for any schedule.
   virtual void evaluate_all(std::span<const EvalRequest> requests,
                             std::span<asl::PropertyResult> results);
 
@@ -136,11 +127,6 @@ class EvalBackend {
     bool needs_store = false;
     bool needs_connection = false;
     Factory factory;
-    /// When `needs_connection` is set, a ConnectionPool in the deps also
-    /// satisfies the requirement (the backend leases its own sessions —
-    /// sql-sharded). Defaults to false: most SQL backends drive exactly one
-    /// session and dereference `conn` directly.
-    bool pool_satisfies_connection = false;
   };
 
   /// Constructs the named backend. Throws support::EvalError for unknown

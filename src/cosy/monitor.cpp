@@ -146,7 +146,6 @@ EpochReport Monitor::evaluate() {
     deps.model = model_;
     deps.conn = conn_;
     deps.plan_cache = &plan_cache_;
-    deps.threads = options_.threads;
     deps.shard_cache = &shard_cache_;
     backend_ = EvalBackend::create(options_.backend, deps);
   }

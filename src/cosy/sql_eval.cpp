@@ -9,9 +9,9 @@
 
 #include "asl/compilability.hpp"
 #include "cosy/db_import.hpp"
-#include "cosy/shard_cache.hpp"
-#include "db/distributed.hpp"
 #include "cosy/schema_gen.hpp"
+#include "cosy/shard_cache.hpp"
+#include "db/sql/render.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 
@@ -1434,7 +1434,7 @@ class WholeConditionCompiler {
     // occurrences through LET inlining produce the same coordinator and
     // count once); diagnostic-only compilations never count.
     if (count_rewrites_ && counted_rewrites_.insert(coordinator).second) {
-      catalog_->count_partition_union_rewrite();
+      catalog_->count_partition_union_rewrites();
     }
     // Funnel the coordinator through the CSE machinery like any other
     // scalar subquery: a shared rewritten aggregate dedupes into a cse CTE
@@ -2120,9 +2120,9 @@ void SqlEvaluator::ensure_shard_analysis(db::PreparedStatement& stmt,
   }
   if (memoable) analysis.memo_refs = std::move(memo_refs);
 
-  // Cacheable CTEs: same structural rule as the distributed coordinator's
-  // shard planner — no nested CTEs, catalog tables only, at least one
-  // partition-pinned scan, and the body renders back to SQL text.
+  // Cacheable CTEs: no nested CTEs, catalog tables only, at least one
+  // partition-pinned scan, and the body renders back to SQL text (the text
+  // keys the cache entry).
   for (db::sql::CommonTableExpr& cte : select->ctes) {
     db::sql::SelectStmt& body = *cte.select;
     if (!body.ctes.empty()) continue;
@@ -2149,7 +2149,7 @@ void SqlEvaluator::ensure_shard_analysis(db::PreparedStatement& stmt,
     if (!catalog_only || !pinned) continue;
     ShardCteAnalysis::Cte entry;
     std::string text;
-    if (!db::render_select_sql(body, text, entry.order)) continue;
+    if (!db::sql::render_select_sql(body, text, entry.order)) continue;
     // Fingerprint stem = database identity + layout + body text, fixed for
     // the analysis lifetime (both invalidate it). The identity term scopes
     // entries to one store; the layout term retires entries cleanly across
@@ -2250,8 +2250,8 @@ std::optional<db::QueryResult> SqlEvaluator::try_execute_with_shard_cache(
     if (rows != nullptr) {
       ++hits;
     } else {
-      db.count_shard_cache_miss();
-      if (probe.stale) db.count_dirty_partition_recomputed();
+      db.count_shard_cache_misses();
+      if (probe.stale) db.count_dirty_partitions_recomputed();
       rows = shard_cache_->store(fp, cte.pinned, version,
                                  db.execute_select_with(*cte.body, values, {}));
     }
@@ -2345,16 +2345,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
   }
 
   ++queries_;
-  // With a coordinator attached, the statement's `part<K>` CTEs scatter to
-  // its workers and the merge runs locally over the gathered rows; without
-  // one (or when nothing is distributable) execution is the plain session
-  // path. Either way the result is byte-identical.
   const db::QueryResult result = [&] {
-    if (coordinator_ != nullptr) {
-      return cache_ != nullptr
-                 ? coordinator_->execute(statement_for(plan), values)
-                 : coordinator_->execute(plan->sql, values);
-    }
     // Incremental path: with a shard cache attached, the statement-level
     // memo is consulted first — when every table the statement reads is at
     // the version it last ran against, the stored result is returned and
@@ -2379,7 +2370,7 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
       if (memoable) {
         if (std::shared_ptr<const db::QueryResult> rows =
                 shard_cache_->probe_statement(memo_fp, memo_version)) {
-          conn_->database().count_statement_memoized();
+          conn_->database().count_statements_memoized();
           return db::QueryResult(*rows);
         }
       }

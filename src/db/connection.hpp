@@ -102,8 +102,8 @@ class Connection {
   QueryResult execute(PreparedStatement& stmt, std::span<const Value> params = {});
 
   /// Executes a SELECT with some WITH entries pre-materialized (the
-  /// distributed coordinator's gather path): injected names resolve to
-  /// worker results instead of executing their bodies. Charged like any
+  /// shard-result cache's merge path): injected names resolve to cached
+  /// `part<K>` rows instead of executing their bodies. Charged like any
   /// other statement against this session's cost profile.
   QueryResult execute_with_ctes(sql::SelectStmt& stmt,
                                 std::span<const Value> params,

@@ -43,7 +43,7 @@ namespace {
 
 /// Dedicated pool for partition scans and parallel CTE materialization,
 /// separate from support::global_pool() — statements that themselves run on
-/// global-pool workers (the sharded analysis backends) can block on these
+/// global-pool workers (backends sharding a run's contexts) can block on these
 /// futures without starving their own pool. Deadlock-freedom WITHIN this
 /// pool rests on one protocol, not on tasks being leaves: every execution
 /// dispatched onto the pool runs under an ExecEnv with `on_pool` set, and
@@ -1252,7 +1252,7 @@ class SelectExec {
   /// (null at top level — one is created locally). `injected` optionally
   /// names externally-materialized results: WITH entries matching an
   /// injected name are not executed, their names resolve to the injected
-  /// rows (the distributed coordinator's gather path).
+  /// rows (the shard-result cache's merge path).
   SelectExec(Database& db, sql::SelectStmt& stmt, std::span<const Value> params,
              const CteScope* enclosing = nullptr, ExecEnv* env = nullptr,
              const CteScope* injected = nullptr)
@@ -1439,7 +1439,7 @@ class SelectExec {
     std::vector<bool> done(n, false);
     std::size_t materialized = 0;
     if (injected_ != nullptr) {
-      // Pre-materialized entries (distributed gather): mark them done so no
+      // Pre-materialized entries (shard-result cache): mark them done so no
       // wave executes their bodies, and expose the injected rows under the
       // declared names. Declaration order is preserved ahead of every wave,
       // so lookup shadowing behaves as in the serial materialization.
@@ -1490,7 +1490,7 @@ class SelectExec {
               SelectExec body(db_, *stmt_.ctes[wave[i]].select, params_,
                               &scope_, &envs[i]);
               cte_results_[wave[i]] = body.run();
-              db_.count_cte_materialization();
+              db_.count_cte_materializations();
             }
           }));
         }
@@ -1513,7 +1513,7 @@ class SelectExec {
         for (const std::size_t i : wave) {
           SelectExec body(db_, *stmt_.ctes[i].select, params_, &scope_, env_);
           cte_results_[i] = body.run();
-          db_.count_cte_materialization();
+          db_.count_cte_materializations();
         }
       }
       for (const std::size_t i : wave) {
@@ -1615,7 +1615,7 @@ class SelectExec {
       subquery_key(*e.subquery, key);
       const auto hit = env_->subquery_memo.find(key);
       if (hit != env_->subquery_memo.end()) {
-        db_.count_subquery_memo_hit();
+        db_.count_subquery_memo_hits();
         subquery_values_[&e] = hit->second;
         return;
       }
@@ -1626,7 +1626,7 @@ class SelectExec {
       std::unique_ptr<sql::SelectStmt> sub = e.subquery->clone(&remap);
       SelectExec exec(db_, *sub, params_, &scope_, env_);
       QueryResult sub_result = exec.run();
-      db_.count_subquery_execution();
+      db_.count_subquery_executions();
       // Back-propagate plan verdicts the clone's execution produced onto
       // the original subquery (mutable annotation members), so the next
       // execution of the enclosing prepared statement clones a
@@ -1861,7 +1861,7 @@ class SelectExec {
                                        std::span<const Table::ColumnSlice> cols,
                                        const std::uint8_t* demand,
                                        std::size_t begin, std::size_t end) {
-    db_.count_expr_vm_batch();
+    db_.count_expr_vm_batches();
     db_.count_expr_vm_lanes(end - begin);
     return program.run(scratch, bound, cols, demand, begin, end);
   }
@@ -2229,7 +2229,7 @@ class SelectExec {
     }
     if (program_evals > 0) db_.count_expr_program_evals(program_evals);
 
-    if (reused) db_.count_fused_plan_eval();
+    if (reused) db_.count_fused_plan_evals();
     return run_columnar_aggregation(table, *plan, constants, where_bound,
                                     agg_bounds, scan);
   }
@@ -2322,7 +2322,7 @@ class SelectExec {
         }
       }
       if (first_error) std::rethrow_exception(first_error);
-      db_.count_parallel_scan_batch();
+      db_.count_parallel_scan_batches();
     } else {
       sql::ExprProgram::Scratch scratch;
       for (std::size_t i = 0; i < count; ++i) filter_partition(i, scratch);
@@ -2533,7 +2533,7 @@ class SelectExec {
     }
     if (program_evals > 0) db_.count_expr_program_evals(program_evals);
 
-    if (reused) db_.count_fused_plan_eval();
+    if (reused) db_.count_fused_plan_evals();
     return run_columnar_grouped(table, *plan, constants, where_bound,
                                 key_bounds, agg_bounds, scan);
   }
@@ -2564,7 +2564,7 @@ class SelectExec {
     }
     db_.count_partition_scans(count);
     db_.count_columnar_scans(count);
-    db_.count_grouped_vector_eval();
+    db_.count_grouped_vector_evals();
 
     std::size_t live = 0;
     std::size_t nonempty = 0;
@@ -2875,7 +2875,7 @@ class SelectExec {
         }
       }
       if (first_error) std::rethrow_exception(first_error);
-      db_.count_parallel_scan_batch();
+      db_.count_parallel_scan_batches();
       std::size_t total = 0;
       for (const std::vector<Row>& bucket : buckets) total += bucket.size();
       rows.reserve(total);
@@ -3144,7 +3144,7 @@ class SelectExec {
             });
         break;
     }
-    db_.count_hash_join_build();
+    db_.count_hash_join_builds();
     db_.count_join_lanes_probed(probed);
 
     if (build_is_outer) std::sort(pairs.begin(), pairs.end());
@@ -3265,7 +3265,7 @@ class SelectExec {
             });
         break;
     }
-    db_.count_hash_join_build();
+    db_.count_hash_join_builds();
     db_.count_join_lanes_probed(probed);
 
     // Build-from-inner already emits outer-major (probe order) with
@@ -3540,7 +3540,7 @@ class SelectExec {
   CteScope scope_;
   std::deque<QueryResult> cte_results_;
   ExecEnv* env_;
-  /// Externally-materialized CTE results (scatter/gather injection); null
+  /// Externally-materialized CTE results (shard-result cache); null
   /// for ordinary executions.
   const CteScope* injected_ = nullptr;
   std::vector<ScanSource> sources_;

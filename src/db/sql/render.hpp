@@ -1,0 +1,22 @@
+#ifndef KOJAK_DB_SQL_RENDER_HPP
+#define KOJAK_DB_SQL_RENDER_HPP
+
+#include <cstddef>
+#include <string>
+#include <vector>
+
+#include "db/sql/ast.hpp"
+
+namespace kojak::db::sql {
+
+/// Renders one SELECT back to executable SQL text with `?` placeholders,
+/// recording the absolute param_index of each placeholder in text order
+/// (what a re-parse of the text numbers sequentially). Returns false when
+/// the statement contains a node the text dialect cannot round-trip — the
+/// shard-result cache then keeps that CTE uncached.
+[[nodiscard]] bool render_select_sql(const SelectStmt& stmt, std::string& out,
+                                     std::vector<std::size_t>& param_order);
+
+}  // namespace kojak::db::sql
+
+#endif  // KOJAK_DB_SQL_RENDER_HPP

@@ -32,7 +32,7 @@ namespace kojak::support {
 template <typename... Args>
 [[nodiscard]] std::string cat(const Args&... args) {
   std::ostringstream out;
-  (out << ... << args);
+  ((out << args), ...);  // comma fold: an empty pack is a no-op
   return out.str();
 }
 

@@ -1,6 +1,6 @@
-// The pluggable evaluation-backend seam: registry behavior, the two new
-// backends (sql-whole-condition, interpreter-sharded) pinned differentially
-// against the interpreter across every connection profile, the exact
+// The pluggable evaluation-backend seam: registry behavior, whole-condition
+// SQL and intra-run sharding pinned differentially against the interpreter
+// across every connection profile, the exact
 // one-statement-per-context contract of whole-condition compilation (paper
 // §6), and its site-wise fallback path.
 
@@ -94,26 +94,41 @@ void expect_same(const PropertyResult& a, const PropertyResult& b,
 // ---------------------------------------------------------------------------
 // Registry
 
-TEST(EvalBackendRegistry, ListsAllBuiltins) {
-  const std::vector<std::string> names = cosy::EvalBackend::names();
-  for (const char* expected :
-       {"interpreter", "interpreter-sharded", "sql-pushdown",
-        "sql-whole-condition", "sql-whole-condition-plain", "sql-sharded",
-        "client-fetch", "bulk-fetch"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-    EXPECT_TRUE(cosy::EvalBackend::exists(expected)) << expected;
-    EXPECT_FALSE(cosy::EvalBackend::describe(expected).empty()) << expected;
+TEST(EvalBackendRegistry, ListsExactlyTheSixBuiltins) {
+  const std::vector<std::string> builtins = {
+      "bulk-fetch",   "client-fetch",        "interpreter",
+      "sql-pushdown", "sql-whole-condition", "sql-whole-condition-plain"};
+  // Other tests in this binary register "test-" backends into the same
+  // process-wide registry; every other name must be a builtin.
+  std::vector<std::string> shipped;
+  for (std::string& name : cosy::EvalBackend::names()) {
+    if (!name.starts_with("test-")) shipped.push_back(std::move(name));
   }
-  EXPECT_FALSE(cosy::EvalBackend::requires_connection("interpreter"));
-  EXPECT_FALSE(cosy::EvalBackend::requires_connection("interpreter-sharded"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("sql-pushdown"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("sql-whole-condition"));
-  EXPECT_TRUE(
-      cosy::EvalBackend::requires_connection("sql-whole-condition-plain"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("sql-sharded"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("client-fetch"));
-  EXPECT_TRUE(cosy::EvalBackend::requires_connection("bulk-fetch"));
+  EXPECT_EQ(shipped, builtins);
+  for (const std::string& name : builtins) {
+    EXPECT_FALSE(cosy::EvalBackend::describe(name).empty()) << name;
+    EXPECT_EQ(cosy::EvalBackend::requires_connection(name),
+              name != "interpreter")
+        << name;
+  }
+
+  // The retired scatter/gather backend is gone, and asking for it lists
+  // what is left.
+  World world(perf::workloads::scalable_stencil(), {1, 2});
+  db::Connection conn(world.database, db::ConnectionProfile::in_memory());
+  cosy::EvalBackendDeps deps;
+  deps.model = &world.model;
+  deps.store = &world.store;
+  deps.conn = &conn;
+  try {
+    (void)cosy::EvalBackend::create("sql-distributed", deps);
+    FAIL() << "expected EvalError";
+  } catch (const EvalError& error) {
+    const std::string message = error.what();
+    for (const std::string& name : builtins) {
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(EvalBackendRegistry, UnknownNamesThrowListingAvailable) {
@@ -193,34 +208,11 @@ TEST(EvalBackendRegistry, UserBackendsPlugIntoTheAnalyzer) {
   EXPECT_TRUE(report.tuned());
 }
 
-// ---------------------------------------------------------------------------
-// Name coverage of the deprecated enum aliases (they must match registry
-// spellings exactly — a config string round-trips through either surface).
-
-TEST(EvalBackendRegistry, StrategyAliasesSpellRegistryNames) {
-  for (const cosy::EvalStrategy strategy :
-       {cosy::EvalStrategy::kInterpreter, cosy::EvalStrategy::kSqlPushdown,
-        cosy::EvalStrategy::kClientFetch, cosy::EvalStrategy::kBulkFetch,
-        cosy::EvalStrategy::kShardedInterpreter,
-        cosy::EvalStrategy::kSqlWholeCondition}) {
-    const std::string name{to_string(strategy)};
-    EXPECT_NE(name, "?");
-    EXPECT_TRUE(cosy::EvalBackend::exists(name)) << name;
-  }
-  EXPECT_EQ(to_string(cosy::EvalStrategy::kSqlWholeCondition),
-            "sql-whole-condition");
-  EXPECT_EQ(to_string(cosy::EvalStrategy::kShardedInterpreter),
-            "interpreter-sharded");
+TEST(EvalBackendRegistry, SqlEvalModesSpellTheirNames) {
   EXPECT_EQ(to_string(cosy::SqlEvalMode::kPushdown), "pushdown");
   EXPECT_EQ(to_string(cosy::SqlEvalMode::kClientSide), "client-side");
   EXPECT_EQ(to_string(cosy::SqlEvalMode::kWholeCondition), "whole-condition");
-
-  cosy::AnalyzerConfig legacy;
-  legacy.strategy = cosy::EvalStrategy::kInterpreter;
-  legacy.parallel = true;  // deprecated flag upgrades to the sharded backend
-  EXPECT_EQ(legacy.backend_name(), "interpreter-sharded");
-  legacy.backend = "sql-whole-condition";  // explicit name wins
-  EXPECT_EQ(legacy.backend_name(), "sql-whole-condition");
+  EXPECT_EQ(cosy::AnalyzerConfig{}.backend, "interpreter");
 }
 
 // ---------------------------------------------------------------------------
@@ -482,9 +474,9 @@ TEST(WholeCondition, CseBeatsPlainWholeConditionOnDistributedProfiles) {
   }
 }
 
-// Differential: the SQL-family backends (whole-condition with and without
-// CSE, sharded SQL) plus the sharded interpreter against the interpreter
-// reference — all 13 properties, every connection profile of the paper's
+// Differential: the whole-condition backends (with and without CSE, serial
+// and sharded across pooled sessions) plus the sharded interpreter against
+// the serial interpreter reference — all 13 properties, every connection profile of the paper's
 // §5 comparison.
 class BackendDifferential : public ::testing::TestWithParam<ProfileCase> {};
 
@@ -502,21 +494,33 @@ TEST_P(BackendDifferential, AgreesWithInterpreterOnAllWorkloads) {
   for (const WorkloadCase& wl : workloads) {
     World world(wl.factory(), {1, 4, 16}, wl.seed);
     db::Connection conn(world.database, GetParam().profile());
-    cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn);
+    db::ConnectionPool pool(world.database, GetParam().profile(), 3);
+    cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn,
+                            &pool);
 
     cosy::AnalyzerConfig reference;
     reference.backend = "interpreter";
     const std::string expected =
         render_findings(analyzer.analyze(2, reference));
 
-    for (const char* backend :
-         {"sql-whole-condition", "sql-whole-condition-plain", "sql-sharded",
-          "interpreter-sharded"}) {
+    const struct {
+      const char* backend;
+      std::size_t threads;
+    } cases[] = {{"sql-whole-condition", 0},
+                 {"sql-whole-condition-plain", 0},
+                 {"sql-whole-condition", 4},
+                 {"sql-whole-condition-plain", 4},
+                 {"sql-pushdown", 4},
+                 {"client-fetch", 4},
+                 {"interpreter", 4}};
+    for (const auto& c : cases) {
       cosy::AnalyzerConfig config;
-      config.backend = backend;
+      config.backend = c.backend;
+      config.threads = c.threads;
       const cosy::AnalysisReport report = analyzer.analyze(2, config);
       EXPECT_EQ(expected, render_findings(report))
-          << wl.name << " / " << backend << " / " << GetParam().name;
+          << wl.name << " / " << c.backend << " @ " << c.threads << " / "
+          << GetParam().name;
     }
   }
 }
@@ -920,12 +924,13 @@ TEST(WholeCondition, BeatsPushdownOnDistributedProfiles) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded SQL backend
+// Intra-run sharding: AnalyzerConfig::threads on the interpreter and on
+// sql-whole-condition over the Analyzer's ConnectionPool
 
-TEST(SqlSharded, ByteIdenticalToWholeConditionAtAnyThreadCount) {
-  // The acceptance contract: context shards across pooled sessions reduce
+TEST(Sharding, WholeConditionByteIdenticalAtAnyThreadCount) {
+  // The acceptance contract: contexts sharded across pooled sessions reduce
   // in request order, so the report — findings, not-applicable audits,
-  // notes, everything — is byte-identical to the single-session
+  // notes, everything — is byte-identical to the serial single-session
   // whole-condition backend at 1, 2, and 8 threads.
   World world(perf::workloads::imbalanced_ocean(), {1, 4, 16});
 
@@ -941,12 +946,12 @@ TEST(SqlSharded, ByteIdenticalToWholeConditionAtAnyThreadCount) {
   }
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
+    db::Connection conn(world.database, db::ConnectionProfile::postgres());
     db::ConnectionPool pool(world.database, db::ConnectionProfile::postgres(),
                             threads);
-    cosy::Analyzer analyzer(world.model, world.store, world.handles,
-                            /*conn=*/nullptr, &pool);
-    cosy::AnalyzerConfig sharded;
-    sharded.backend = "sql-sharded";
+    cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn,
+                            &pool);
+    cosy::AnalyzerConfig sharded = whole;
     sharded.threads = threads;
     for (std::size_t run = 0; run < world.handles.runs.size(); ++run) {
       const cosy::AnalysisReport report = analyzer.analyze(run, sharded);
@@ -960,61 +965,51 @@ TEST(SqlSharded, ByteIdenticalToWholeConditionAtAnyThreadCount) {
   }
 }
 
-TEST(SqlSharded, SharedPlanCacheCompilesEachPropertyOnce) {
+TEST(Sharding, WholeConditionLeasesPoolSessionsOnlyAboveOneThread) {
   World world(perf::workloads::imbalanced_ocean(), {1, 4});
+  db::Connection conn(world.database, db::ConnectionProfile::in_memory());
   db::ConnectionPool pool(world.database, db::ConnectionProfile::in_memory(),
                           4);
-  cosy::Analyzer analyzer(world.model, world.store, world.handles,
-                          /*conn=*/nullptr, &pool);
+  cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn,
+                          &pool);
+  cosy::AnalyzerConfig config;
+  config.backend = "sql-whole-condition";
+  for (const std::size_t threads : {0u, 1u}) {
+    config.threads = threads;
+    (void)analyzer.analyze(1, config);
+    EXPECT_EQ(pool.stats().acquires, 0u) << "threads " << threads;
+  }
+  // Worker 0 keeps the Analyzer's connection; the other three lease.
+  config.threads = 4;
+  (void)analyzer.analyze(1, config);
+  EXPECT_GT(pool.stats().acquires, 0u);
+  EXPECT_LE(pool.stats().acquires, 3u);
+}
+
+TEST(Sharding, WholeConditionSharedPlanCacheCompilesEachPropertyOnce) {
+  World world(perf::workloads::imbalanced_ocean(), {1, 4});
+  db::Connection conn(world.database, db::ConnectionProfile::in_memory());
+  db::ConnectionPool pool(world.database, db::ConnectionProfile::in_memory(),
+                          4);
+  cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn,
+                          &pool);
   cosy::PlanCache cache(world.model);
   cosy::AnalyzerConfig config;
-  config.backend = "sql-sharded";
+  config.backend = "sql-whole-condition";
   config.threads = 4;
   config.plan_cache = &cache;
   const cosy::AnalysisReport report = analyzer.analyze(1, config);
   EXPECT_EQ(report.sql_queries, analyzer.context_count());
-  // One whole-condition plan per property, shared across every shard.
+  // One whole-condition plan per property, shared across every worker.
   EXPECT_EQ(cache.size(), world.model.properties().size());
   EXPECT_GT(report.plan_cache_hits, 0u);
 }
 
-TEST(SqlSharded, NeedsAConnectionOrAPool) {
-  World world(perf::workloads::scalable_stencil(), {1, 2});
-  cosy::EvalBackendDeps deps;
-  deps.model = &world.model;
-  EXPECT_THROW((void)cosy::EvalBackend::create("sql-sharded", deps),
-               EvalError);
-  try {
-    (void)cosy::EvalBackend::create("sql-sharded", deps);
-    FAIL() << "expected EvalError";
-  } catch (const EvalError& error) {
-    EXPECT_NE(std::string(error.what()).find("connection pool"),
-              std::string::npos)
-        << error.what();
-  }
-  db::ConnectionPool pool(world.database, db::ConnectionProfile::in_memory(),
-                          2);
-  deps.pool = &pool;
-  EXPECT_NE(cosy::EvalBackend::create("sql-sharded", deps), nullptr);
-
-  // The model-instance pinning guard applies at creation, like the other
-  // SQL backends.
-  const asl::Model reloaded = cosy::load_cosy_model();
-  cosy::PlanCache stale(reloaded);
-  deps.plan_cache = &stale;
-  EXPECT_THROW((void)cosy::EvalBackend::create("sql-sharded", deps),
-               EvalError);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded interpreter backend
-
-TEST(ShardedInterpreter, ByteIdenticalReportsForAnyThreadCount) {
+TEST(Sharding, InterpreterByteIdenticalAtAnyThreadCount) {
   World world(perf::workloads::imbalanced_ocean(), {1, 4, 16});
   cosy::Analyzer analyzer(world.model, world.store, world.handles);
 
   cosy::AnalyzerConfig serial;
-  serial.backend = "interpreter";
   std::vector<std::string> references;
   for (std::size_t run = 0; run < world.handles.runs.size(); ++run) {
     references.push_back(render_exact(analyzer.analyze(run, serial)));
@@ -1022,7 +1017,6 @@ TEST(ShardedInterpreter, ByteIdenticalReportsForAnyThreadCount) {
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     cosy::AnalyzerConfig sharded;
-    sharded.backend = "interpreter-sharded";
     sharded.threads = threads;
     for (std::size_t run = 0; run < world.handles.runs.size(); ++run) {
       EXPECT_EQ(references[run], render_exact(analyzer.analyze(run, sharded)))
@@ -1031,11 +1025,14 @@ TEST(ShardedInterpreter, ByteIdenticalReportsForAnyThreadCount) {
   }
 }
 
-TEST(ShardedInterpreter, WorksInsideTheBatchEngine) {
+TEST(Sharding, InterpreterInsideTheBatchEngine) {
+  // The batch engine spreads the interpreter's runs over `threads` workers
+  // of its own pool; every per-run report must stay byte-identical to a
+  // sequential Analyzer::analyze.
   World world(perf::workloads::imbalanced_ocean(), {1, 4, 16});
   cosy::BatchAnalyzer batch(world.model, world.store, world.handles, nullptr);
   cosy::BatchConfig config;
-  config.backend = "interpreter-sharded";
+  config.backend = "interpreter";
   config.threads = 2;
   const cosy::BatchResult result = batch.analyze_all(config);
   EXPECT_EQ(result.items.size(), world.handles.runs.size());

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -86,15 +87,11 @@ cosy::AnalysisReport analyze(QuadWorld& world, db::Database& database,
   cosy::AnalyzerConfig config;
   config.backend = backend;
   config.threads = threads;
-  if (backend == "sql-sharded") {
-    db::ConnectionPool pool(database, db::ConnectionProfile::in_memory(),
-                            threads == 0 ? 2 : threads);
-    cosy::Analyzer analyzer(world.model, world.store, world.handles,
-                            /*conn=*/nullptr, &pool);
-    return analyzer.analyze(2, config);
-  }
   db::Connection conn(database, db::ConnectionProfile::in_memory());
-  cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn);
+  db::ConnectionPool pool(database, db::ConnectionProfile::in_memory(),
+                          std::max<std::size_t>(threads, 1));
+  cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn,
+                          &pool);
   return analyzer.analyze(2, config);
 }
 
@@ -148,8 +145,7 @@ TEST(ColumnarStore, AllBackendsByteIdenticalAcrossLayouts) {
 
   for (const char* backend :
        {"interpreter", "sql-pushdown", "sql-whole-condition",
-        "sql-whole-condition-plain", "sql-distributed", "client-fetch",
-        "bulk-fetch"}) {
+        "sql-whole-condition-plain", "client-fetch", "bulk-fetch"}) {
     const std::string reference =
         render_exact(analyze(world, world.row_flat, backend, 0));
     EXPECT_FALSE(reference.empty()) << backend;
@@ -165,19 +161,23 @@ TEST(ColumnarStore, AllBackendsByteIdenticalAcrossLayouts) {
   }
 }
 
-TEST(ColumnarStore, ShardedBackendsByteIdenticalAtAnyThreadCount) {
+TEST(ColumnarStore, ShardingByteIdenticalAtAnyThreadCount) {
   QuadWorld world(perf::workloads::scalable_stencil(), {1, 4, 16}, 2);
   world.row_part.set_scan_config({.threads = 4, .min_parallel_rows = 1});
   world.col_part.set_scan_config({.threads = 4, .min_parallel_rows = 1});
 
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  // `threads` shards the interpreter on the process pool and
+  // sql-whole-condition across the Analyzer's ConnectionPool sessions.
+  for (const char* backend : {"interpreter", "sql-whole-condition"}) {
     const std::string reference =
-        render_exact(analyze(world, world.row_flat, "sql-sharded", threads));
-    for (db::Database* database :
-         {&world.col_flat, &world.row_part, &world.col_part}) {
-      EXPECT_EQ(render_exact(analyze(world, *database, "sql-sharded", threads)),
-                reference)
-          << threads << " threads";
+        render_exact(analyze(world, world.row_flat, backend, 0));
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      for (db::Database* database : {&world.row_flat, &world.col_flat,
+                                     &world.row_part, &world.col_part}) {
+        EXPECT_EQ(render_exact(analyze(world, *database, backend, threads)),
+                  reference)
+            << backend << " @ " << threads << " threads";
+      }
     }
   }
 }

@@ -7,10 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <optional>
 
 #include "asl/sema.hpp"
 #include "cosy/analyzer.hpp"
@@ -78,15 +78,11 @@ cosy::AnalysisReport analyze(TwinWorld& world, db::Database& database,
   cosy::AnalyzerConfig config;
   config.backend = backend;
   config.threads = threads;
-  if (backend == "sql-sharded") {
-    db::ConnectionPool pool(database, db::ConnectionProfile::in_memory(),
-                            threads == 0 ? 2 : threads);
-    cosy::Analyzer analyzer(world.model, world.store, world.handles,
-                            /*conn=*/nullptr, &pool);
-    return analyzer.analyze(2, config);
-  }
   db::Connection conn(database, db::ConnectionProfile::in_memory());
-  cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn);
+  db::ConnectionPool pool(database, db::ConnectionProfile::in_memory(),
+                          std::max<std::size_t>(threads, 1));
+  cosy::Analyzer analyzer(world.model, world.store, world.handles, &conn,
+                          &pool);
   return analyzer.analyze(2, config);
 }
 
@@ -267,8 +263,8 @@ std::string render_result(const asl::PropertyResult& result,
 }
 
 /// Evaluates every (property, fleet) context through `backend` and renders
-/// the whole sweep. `threads` feeds the sharding backends; sql-sharded gets
-/// its own pool sized to match.
+/// the whole sweep. `threads` shards the sweep; SQL backends get a session
+/// pool sized to match.
 std::string evaluate_fleet_suite(const FleetWorld& world,
                                  db::Database& database,
                                  const std::string& backend,
@@ -299,14 +295,10 @@ std::string evaluate_fleet_suite(const FleetWorld& world,
   deps.threads = threads;
 
   db::Connection conn(database, db::ConnectionProfile::in_memory());
-  std::optional<db::ConnectionPool> pool;
-  if (backend == "sql-sharded") {
-    pool.emplace(database, db::ConnectionProfile::in_memory(),
-                 threads == 0 ? 2 : threads);
-    deps.pool = &*pool;
-  } else {
-    deps.conn = &conn;
-  }
+  db::ConnectionPool pool(database, db::ConnectionProfile::in_memory(),
+                          std::max<std::size_t>(threads, 1));
+  deps.conn = &conn;
+  deps.pool = &pool;
   const std::unique_ptr<cosy::EvalBackend> engine =
       cosy::EvalBackend::create(backend, deps);
   std::vector<asl::PropertyResult> results(sweep.requests.size());
@@ -509,10 +501,11 @@ TEST(PartitionUnion, RewrittenBackendsByteIdenticalAcrossLayoutsAndThreads) {
           << backend << " @ " << partitions << " partitions";
     }
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(evaluate_fleet_suite(world, database, "sql-sharded", threads),
+      EXPECT_EQ(evaluate_fleet_suite(world, database, "sql-whole-condition",
+                                     threads),
                 sql_reference)
-          << "sql-sharded @ " << partitions << " partitions, " << threads
-          << " threads";
+          << "sql-whole-condition @ " << partitions << " partitions, "
+          << threads << " threads";
     }
   }
 }
@@ -645,7 +638,7 @@ TEST(PartitionUnion, PlanCacheKeyedOnLayoutFingerprint) {
   EXPECT_EQ(on_partitioned.plan_cache_hits(), 1u);
 }
 
-TEST(PartitionedStore, ShardedBackendsByteIdenticalAtAnyThreadCount) {
+TEST(PartitionedStore, ShardingByteIdenticalAtAnyThreadCount) {
   TwinWorld world(perf::workloads::scalable_stencil(), {1, 4, 16}, 2);
   world.partitioned.set_scan_config({.threads = 4, .min_parallel_rows = 1});
 
@@ -653,14 +646,14 @@ TEST(PartitionedStore, ShardedBackendsByteIdenticalAtAnyThreadCount) {
   const std::string reference = render_exact(
       analyze(world, world.flat, "interpreter", 0));
 
-  for (const char* backend : {"interpreter-sharded", "sql-sharded"}) {
+  for (const char* backend : {"interpreter", "sql-whole-condition"}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
       const std::string flat =
           render_exact(analyze(world, world.flat, backend, threads));
       const std::string part =
           render_exact(analyze(world, world.partitioned, backend, threads));
       EXPECT_EQ(flat, part) << backend << " @ " << threads;
-      if (std::string_view(backend) == "interpreter-sharded") {
+      if (std::string_view(backend) == "interpreter") {
         // Store-backed: byte-exact against the serial interpreter too.
         EXPECT_EQ(flat, reference) << backend << " @ " << threads;
       }

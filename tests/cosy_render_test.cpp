@@ -40,7 +40,9 @@ TEST(Render, MarkdownContainsRankedTable) {
 }
 
 TEST(Render, MarkdownHandlesEmptyReport) {
-  const cosy::AnalysisReport empty{.program = "idle", .pe_count = 1};
+  cosy::AnalysisReport empty;
+  empty.program = "idle";
+  empty.pe_count = 1;
   const std::string md = cosy::to_markdown(empty);
   EXPECT_NE(md.find("none (no property holds)"), std::string::npos);
 }

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <variant>
+#include <vector>
+
+#include "db/database.hpp"
 #include "db/sql/lexer.hpp"
 #include "db/sql/parser.hpp"
+#include "db/sql/render.hpp"
 #include "support/error.hpp"
 
+namespace db = kojak::db;
 namespace sql = kojak::db::sql;
 using kojak::support::ParseError;
 
@@ -491,4 +499,52 @@ TEST(SqlParser, ParseSingleRejectsMultiStatementScripts) {
   EXPECT_NO_THROW((void)sql::parse_single(";;SELECT 1;;"));
   EXPECT_THROW((void)sql::parse_single(""), ParseError);
   EXPECT_THROW((void)sql::parse_single(";"), ParseError);
+}
+
+// ---------------------------------------------------------------------------
+// Rendering a bound SELECT back to text (what keys shard-result cache entries)
+
+namespace {
+
+/// Column names, then every value; doubles in hex so the comparison is
+/// bit-exact.
+std::string render_rows(const db::QueryResult& result) {
+  std::string out;
+  for (const std::string& column : result.columns) out += column + "|";
+  out += "\n";
+  for (const db::Row& row : result.rows) {
+    for (const db::Value& value : row) {
+      if (value.type() == db::ValueType::kDouble) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%a", value.as_double());
+        out += buf;
+      } else {
+        out += value.to_display();
+      }
+      out += "|";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(SqlRender, ShardRenderingRoundTripsTextAndParamOrder) {
+  db::Database database;
+  database.execute("CREATE TABLE t (a INTEGER, b DOUBLE)");
+  db::PreparedStatement stmt = database.prepare(
+      "SELECT COALESCE(SUM(b), 0.0) AS s FROM t WHERE a > ? AND b < ?");
+  auto* select = std::get_if<sql::SelectStmt>(&stmt.ast());
+  ASSERT_NE(select, nullptr);
+  std::string text;
+  std::vector<std::size_t> order;
+  ASSERT_TRUE(sql::render_select_sql(*select, text, order));
+  // The rendered text re-parses and the placeholders keep their order.
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1}));
+  database.execute("INSERT INTO t VALUES (5, 1.5)");
+  const std::vector<db::Value> params = {db::Value::integer(1),
+                                         db::Value::real(9.0)};
+  EXPECT_EQ(render_rows(database.execute(text, params)),
+            render_rows(database.execute(stmt, params)));
 }

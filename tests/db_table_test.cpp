@@ -579,7 +579,9 @@ TEST(Partition, VersionsBumpTheOwningPartitionOnEveryMutation) {
   EXPECT_EQ(table.table_version(), 5u);
   // Untouched partitions never moved.
   for (std::size_t p = 0; p < 4; ++p) {
-    if (p != home && p != target) EXPECT_EQ(table.partition_version(p), 0u);
+    if (p != home && p != target) {
+      EXPECT_EQ(table.partition_version(p), 0u);
+    }
   }
 }
 
