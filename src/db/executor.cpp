@@ -10,7 +10,6 @@
 #include <cctype>
 #include <cmath>
 #include <deque>
-#include <future>
 #include <map>
 #include <optional>
 #include <set>
@@ -24,10 +23,9 @@
 #include "support/str.hpp"
 #include "support/thread_pool.hpp"
 
-// The hot-plan annotations behind SelectStmt::fused_plan /
-// fused_group_plan (sql::FusedScanPlan, sql::FusedGroupPlan) live in
-// db/sql/plan.hpp so the clone machinery in ast.cpp can carry them across
-// statement copies.
+// The hot-plan annotation behind SelectStmt::fused_plan (sql::FusedPlan)
+// lives in db/sql/plan.hpp so the clone machinery in ast.cpp can carry it
+// across statement copies.
 
 namespace kojak::db {
 
@@ -47,13 +45,27 @@ namespace {
 /// futures without starving their own pool. Deadlock-freedom WITHIN this
 /// pool rests on one protocol, not on tasks being leaves: every execution
 /// dispatched onto the pool runs under an ExecEnv with `on_pool` set, and
-/// both dispatch sites (run_heap_scan's partition fan-out and
-/// materialize_ctes' dependency waves) go strictly serial when they see
-/// that flag — a pool task never submits to the pool and blocks. Any new
-/// pool user must follow the same rule.
+/// every pool_for_each caller goes strictly serial when it sees that flag —
+/// a pool task never submits to the pool and blocks. Any new pool user
+/// must follow the same rule.
 support::ThreadPool& scan_pool() {
   static support::ThreadPool pool;
   return pool;
+}
+
+/// Runs body(i, scratch) for every i in [0, n) on up to `workers` scan-pool
+/// tasks that claim indices from one shared cursor; each task owns one VM
+/// scratch. run_all joins every task before it rethrows the first error.
+template <typename Body>
+void pool_for_each(std::size_t workers, std::size_t n, const Body& body) {
+  std::atomic<std::size_t> next{0};
+  std::vector<std::function<void()>> tasks(std::min(workers, n), [&] {
+    sql::ExprProgram::Scratch scratch;
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      body(i, scratch);
+    }
+  });
+  scan_pool().run_all(std::move(tasks));
 }
 
 // ---------------------------------------------------------------------------
@@ -587,134 +599,24 @@ void collect_aggregates(const Expr& e, std::vector<const Expr*>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized columnar scan kernels
+// Columnar aggregate kernels
 //
-// Batch-at-a-time execution over STORAGE COLUMNAR partitions: WHERE
-// conjuncts AND themselves into a per-partition selection bitmap over the
-// typed column lanes, then each aggregate runs a tight per-column kernel
-// over the selected lanes — no Row is ever materialized. Byte-identity with
-// the row path is load-bearing: every kernel visits lanes in heap order
-// (partition-major, local offset within), pushes the exact doubles
-// agg_accumulate would have pushed into the same RunningStats, and
-// replicates Value::compare_sql's semantics per (column type, constant
-// type) pair — including NaN comparing equal to everything and first-
-// attained MIN/MAX ties. Unsupported type pairs fall back to the row path,
-// which raises the interpreter's usual diagnostics.
+// Batch-at-a-time execution over STORAGE COLUMNAR partitions: the compiled
+// WHERE program ANDs its boolean lanes into a per-partition selection
+// bitmap over the typed column lanes, each selected lane maps to a group id
+// through a hash over the GROUP BY key lanes (a global aggregate is the
+// zero-key case: one pre-created group, no hash), and each aggregate runs a
+// tight per-column kernel over the selected lanes, indexing per-group state
+// with that id — no Row is ever materialized. Byte-identity with the row
+// path is load-bearing: every kernel visits lanes in heap order
+// (partition-major, local offset within) and pushes the exact doubles
+// agg_accumulate would have pushed into the same RunningStats, with
+// first-attained MIN/MAX ties. Group equality must mirror
+// Value::compare_total for same-column pairs — the numeric class compares
+// int lanes through double, every other class is declared-type-exact — so
+// groups split exactly where the row path's std::map keys would.
 
 constexpr std::size_t kVectorBatch = 1024;
-
-/// Whether the comparison kernels implement compare_sql for every cell of a
-/// `col`-typed column against this constant. NULL constants are supported
-/// (three-valued logic: the conjunct is never true); anything else outside
-/// compare_sql's defined pairs falls back to the row path.
-bool conjunct_types_supported(ValueType col, const Value& constant) {
-  if (constant.is_null()) return true;
-  switch (col) {
-    case ValueType::kInt:
-    case ValueType::kDouble:
-      return constant.type() == ValueType::kInt ||
-             constant.type() == ValueType::kDouble;
-    case ValueType::kBool:
-    case ValueType::kDateTime:
-    case ValueType::kString:
-      return constant.type() == col;
-    default:
-      return false;
-  }
-}
-
-bool comparison_keeps(BinOp op, int c) noexcept {
-  switch (op) {
-    case BinOp::kEq: return c == 0;
-    case BinOp::kNe: return c != 0;
-    case BinOp::kLt: return c < 0;
-    case BinOp::kLe: return c <= 0;
-    case BinOp::kGt: return c > 0;
-    case BinOp::kGe: return c >= 0;
-    default: return false;
-  }
-}
-
-/// ANDs one conjunct into `sel` over lanes [begin, end). `constant` is the
-/// conjunct's already-evaluated right-hand side (ignored for null tests);
-/// the (column type, constant type) pair was pre-validated with
-/// conjunct_types_supported.
-void apply_conjunct_batch(const sql::FusedScanPlan::Conjunct& conjunct,
-                          const Value& constant, ValueType col_type,
-                          const Table::ColumnSlice& slice, std::size_t begin,
-                          std::size_t end, std::uint8_t* sel) {
-  if (conjunct.is_null_test) {
-    if (conjunct.negated) {  // IS NOT NULL
-      for (std::size_t i = begin; i < end; ++i) sel[i] &= slice.valid[i];
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        sel[i] &= static_cast<std::uint8_t>(slice.valid[i] ^ 1U);
-      }
-    }
-    return;
-  }
-  if (constant.is_null()) {
-    // compare_sql against NULL is indeterminate; WHERE treats it as false.
-    std::fill(sel + begin, sel + end, std::uint8_t{0});
-    return;
-  }
-  const BinOp op = conjunct.op;
-  const auto compare_lanes = [&](auto&& c_of) {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (sel[i] == 0) continue;
-      if (slice.valid[i] == 0) {
-        sel[i] = 0;  // NULL cell: the comparison is never true
-        continue;
-      }
-      if (!comparison_keeps(op, c_of(i))) sel[i] = 0;
-    }
-  };
-  switch (col_type) {
-    case ValueType::kInt: {
-      // Numeric compare_sql goes through as_double even int-vs-int; the
-      // double cast here replicates that (NaN can't appear on this side).
-      const double rhs = constant.as_double();
-      compare_lanes([&](std::size_t i) {
-        const double x = static_cast<double>(slice.ints[i]);
-        return x < rhs ? -1 : (x > rhs ? 1 : 0);
-      });
-      break;
-    }
-    case ValueType::kDouble: {
-      const double rhs = constant.as_double();
-      compare_lanes([&](std::size_t i) {
-        const double x = slice.reals[i];
-        return x < rhs ? -1 : (x > rhs ? 1 : 0);
-      });
-      break;
-    }
-    case ValueType::kBool: {
-      const std::int64_t rhs = constant.as_bool() ? 1 : 0;
-      compare_lanes([&](std::size_t i) {
-        return static_cast<int>(slice.ints[i] - rhs);
-      });
-      break;
-    }
-    case ValueType::kDateTime: {
-      const std::int64_t rhs = constant.as_datetime();
-      compare_lanes([&](std::size_t i) {
-        const std::int64_t x = slice.ints[i];
-        return x < rhs ? -1 : (x > rhs ? 1 : 0);
-      });
-      break;
-    }
-    case ValueType::kString: {
-      const std::string& rhs = constant.as_string();
-      compare_lanes([&](std::size_t i) {
-        const int c = slice.strs[i].compare(rhs);
-        return c < 0 ? -1 : (c > 0 ? 1 : 0);
-      });
-      break;
-    }
-    default:
-      break;  // pre-validated: unreachable
-  }
-}
 
 /// Which kernel loop serves an aggregate call.
 enum class AggKernel : std::uint8_t {
@@ -739,106 +641,6 @@ struct MinMaxAcc {
   std::string hi_s;
 };
 
-void accumulate_batch(AggKernel kernel, ValueType col_type,
-                      const Table::ColumnSlice& slice, std::size_t begin,
-                      std::size_t end, const std::uint8_t* sel,
-                      AggState& state, MinMaxAcc& minmax) {
-  switch (kernel) {
-    case AggKernel::kCountStar:
-      for (std::size_t i = begin; i < end; ++i) state.count += sel[i];
-      return;
-    case AggKernel::kCountColumn:
-      for (std::size_t i = begin; i < end; ++i) {
-        state.count += sel[i] & slice.valid[i];
-      }
-      return;
-    case AggKernel::kNumericStats:
-      // Lane order is heap order, so the Welford accumulator sees the exact
-      // push sequence of the row path — bit-for-bit identical SUM/AVG.
-      if (col_type == ValueType::kInt) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (sel[i] && slice.valid[i]) {
-            ++state.count;
-            state.stats.push(static_cast<double>(slice.ints[i]));
-          }
-        }
-      } else {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (sel[i] && slice.valid[i]) {
-            ++state.count;
-            state.stats.push(slice.reals[i]);
-          }
-        }
-      }
-      return;
-    case AggKernel::kMinMax:
-      switch (col_type) {
-        case ValueType::kInt:
-          // compare_sql compares ints via double; replicate the cast so
-          // > 2^53 collisions keep the first-attained value.
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!(sel[i] && slice.valid[i])) continue;
-            ++state.count;
-            const std::int64_t x = slice.ints[i];
-            if (!minmax.has) {
-              minmax.has = true;
-              minmax.lo_i = minmax.hi_i = x;
-              continue;
-            }
-            const auto xd = static_cast<double>(x);
-            if (xd < static_cast<double>(minmax.lo_i)) minmax.lo_i = x;
-            if (xd > static_cast<double>(minmax.hi_i)) minmax.hi_i = x;
-          }
-          return;
-        case ValueType::kBool:
-        case ValueType::kDateTime:
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!(sel[i] && slice.valid[i])) continue;
-            ++state.count;
-            const std::int64_t x = slice.ints[i];
-            if (!minmax.has) {
-              minmax.has = true;
-              minmax.lo_i = minmax.hi_i = x;
-              continue;
-            }
-            if (x < minmax.lo_i) minmax.lo_i = x;
-            if (x > minmax.hi_i) minmax.hi_i = x;
-          }
-          return;
-        case ValueType::kDouble:
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!(sel[i] && slice.valid[i])) continue;
-            ++state.count;
-            const double x = slice.reals[i];
-            if (!minmax.has) {
-              minmax.has = true;
-              minmax.lo_d = minmax.hi_d = x;
-              continue;
-            }
-            if (x < minmax.lo_d) minmax.lo_d = x;
-            if (x > minmax.hi_d) minmax.hi_d = x;
-          }
-          return;
-        case ValueType::kString:
-          for (std::size_t i = begin; i < end; ++i) {
-            if (!(sel[i] && slice.valid[i])) continue;
-            ++state.count;
-            const std::string& x = slice.strs[i];
-            if (!minmax.has) {
-              minmax.has = true;
-              minmax.lo_s = minmax.hi_s = x;
-              continue;
-            }
-            if (x.compare(minmax.lo_s) < 0) minmax.lo_s = x;
-            if (x.compare(minmax.hi_s) > 0) minmax.hi_s = x;
-          }
-          return;
-        default:
-          return;
-      }
-  }
-}
-
 /// Rebuilds the Value agg_finalize expects from a typed extreme.
 Value minmax_value(ValueType col_type, const MinMaxAcc& acc, bool max_side) {
   switch (col_type) {
@@ -862,35 +664,6 @@ AggKernel agg_kernel_of(const Expr& agg) {
   if (agg.func == "MIN" || agg.func == "MAX") return AggKernel::kMinMax;
   return AggKernel::kNumericStats;
 }
-
-/// True when a bare (non-aggregate-argument) column reference appears in
-/// the expression — global aggregation has no representative row for it on
-/// the fused path. Does not descend into scalar subqueries (their columns
-/// belong to their own scope and the executor consumes the materialized
-/// scalar).
-bool has_bare_column_ref(const Expr& e) {
-  if (e.kind == Expr::Kind::kColumnRef) return true;
-  if (e.kind == Expr::Kind::kFuncCall && Binder::is_aggregate_name(e.func)) {
-    return false;  // argument columns feed the kernels, not the output row
-  }
-  if (e.lhs && has_bare_column_ref(*e.lhs)) return true;
-  if (e.rhs && has_bare_column_ref(*e.rhs)) return true;
-  for (const auto& arg : e.args) {
-    if (has_bare_column_ref(*arg)) return true;
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// Grouped vectorized kernels
-//
-// The GROUP BY twin of the fused path: selection bitmaps are shared, but
-// instead of one global accumulator each selected lane is first mapped to a
-// group id through a hash over the GROUP BY key lanes, and the aggregate
-// kernels index per-group state with that id. Group equality must mirror
-// Value::compare_total for same-column pairs — the numeric class compares
-// int lanes through double, every other class is declared-type-exact — so
-// groups split exactly where the row path's std::map keys would.
 
 /// Hash of one group-key lane; lanes that group_lane_equals treats as equal
 /// hash equal (ints through double; ±0.0 normalized for the double lanes).
@@ -958,10 +731,12 @@ Value group_lane_value(ValueType type, const Table::ColumnSlice& slice,
   }
 }
 
-/// Grouped twin of accumulate_batch: identical per-lane arithmetic, but each
-/// selected lane lands in its group's state (`gid[i]`) instead of one global
-/// accumulator. Lanes are visited in heap order, so every group's push
-/// sequence is exactly the subsequence the row path feeds it.
+/// Aggregate kernel over lanes [begin, end): each selected lane lands in its
+/// group's state (`gid[i]`; always group 0 without keys, so a global
+/// aggregate's loops index one hoisted state). Lanes are visited in heap
+/// order, so every group's push sequence is exactly the subsequence the row
+/// path feeds it.
+template <bool kKeyed>
 void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
                               const Table::ColumnSlice& slice,
                               std::size_t begin, std::size_t end,
@@ -969,22 +744,32 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
                               const std::uint32_t* gid,
                               std::vector<AggState>& states,
                               std::vector<MinMaxAcc>& minmax) {
+  const auto group = [gid](std::size_t i) -> std::uint32_t {
+    return kKeyed ? gid[i] : 0;
+  };
   switch (kernel) {
     case AggKernel::kCountStar:
-      for (std::size_t i = begin; i < end; ++i) {
-        if (sel[i]) ++states[gid[i]].count;
+    case AggKernel::kCountColumn: {
+      const bool star = kernel == AggKernel::kCountStar;
+      if constexpr (kKeyed) {
+        for (std::size_t i = begin; i < end; ++i) {
+          if (sel[i] && (star || slice.valid[i])) ++states[gid[i]].count;
+        }
+      } else {
+        // One group: a branch-free sum the compiler vectorizes.
+        std::size_t count = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          count += star ? sel[i] : sel[i] & slice.valid[i];
+        }
+        states[0].count += count;
       }
       return;
-    case AggKernel::kCountColumn:
-      for (std::size_t i = begin; i < end; ++i) {
-        if (sel[i] && slice.valid[i]) ++states[gid[i]].count;
-      }
-      return;
+    }
     case AggKernel::kNumericStats:
       if (col_type == ValueType::kInt) {
         for (std::size_t i = begin; i < end; ++i) {
           if (sel[i] && slice.valid[i]) {
-            AggState& state = states[gid[i]];
+            AggState& state = states[group(i)];
             ++state.count;
             state.stats.push(static_cast<double>(slice.ints[i]));
           }
@@ -992,7 +777,7 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
       } else {
         for (std::size_t i = begin; i < end; ++i) {
           if (sel[i] && slice.valid[i]) {
-            AggState& state = states[gid[i]];
+            AggState& state = states[group(i)];
             ++state.count;
             state.stats.push(slice.reals[i]);
           }
@@ -1004,8 +789,8 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
         case ValueType::kInt:
           for (std::size_t i = begin; i < end; ++i) {
             if (!(sel[i] && slice.valid[i])) continue;
-            ++states[gid[i]].count;
-            MinMaxAcc& acc = minmax[gid[i]];
+            ++states[group(i)].count;
+            MinMaxAcc& acc = minmax[group(i)];
             const std::int64_t x = slice.ints[i];
             if (!acc.has) {
               acc.has = true;
@@ -1021,8 +806,8 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
         case ValueType::kDateTime:
           for (std::size_t i = begin; i < end; ++i) {
             if (!(sel[i] && slice.valid[i])) continue;
-            ++states[gid[i]].count;
-            MinMaxAcc& acc = minmax[gid[i]];
+            ++states[group(i)].count;
+            MinMaxAcc& acc = minmax[group(i)];
             const std::int64_t x = slice.ints[i];
             if (!acc.has) {
               acc.has = true;
@@ -1036,8 +821,8 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
         case ValueType::kDouble:
           for (std::size_t i = begin; i < end; ++i) {
             if (!(sel[i] && slice.valid[i])) continue;
-            ++states[gid[i]].count;
-            MinMaxAcc& acc = minmax[gid[i]];
+            ++states[group(i)].count;
+            MinMaxAcc& acc = minmax[group(i)];
             const double x = slice.reals[i];
             if (!acc.has) {
               acc.has = true;
@@ -1051,8 +836,8 @@ void accumulate_grouped_batch(AggKernel kernel, ValueType col_type,
         case ValueType::kString:
           for (std::size_t i = begin; i < end; ++i) {
             if (!(sel[i] && slice.valid[i])) continue;
-            ++states[gid[i]].count;
-            MinMaxAcc& acc = minmax[gid[i]];
+            ++states[group(i)].count;
+            MinMaxAcc& acc = minmax[group(i)];
             const std::string& x = slice.strs[i];
             if (!acc.has) {
               acc.has = true;
@@ -1372,15 +1157,13 @@ class SelectExec {
         !sources_[0].table->columnar()) {
       return "row path (not a single columnar base table)";
     }
-    const ScanSource& base = sources_[0];
-    if (!stmt_.group_by.empty()) {
-      return analyze_grouped(base) != nullptr
-                 ? "fused grouped (vectorized)"
-                 : "row path (grouped shape unsupported)";
+    const bool grouped = !stmt_.group_by.empty();
+    if (analyze_aggregate(sources_[0]) == nullptr) {
+      return grouped ? "row path (grouped shape unsupported)"
+                     : "row path (shape unsupported)";
     }
-    return analyze_fused(base) != nullptr
-               ? "fused global aggregate (vectorized)"
-               : "row path (shape unsupported)";
+    return grouped ? "fused grouped (vectorized)"
+                   : "fused global aggregate (vectorized)";
   }
 
  private:
@@ -1433,7 +1216,7 @@ class SelectExec {
     for (std::size_t i = 0; i < n; ++i) deps[i] = cte_dependencies(i);
 
     const Database::ScanConfig& config = db_.scan_config();
-    std::size_t workers =
+    const std::size_t workers =
         config.threads == 0 ? scan_pool().size() : config.threads;
 
     std::vector<bool> done(n, false);
@@ -1478,31 +1261,13 @@ class SelectExec {
           env.subquery_memo = env_->subquery_memo;
           env.on_pool = true;
         }
-        std::atomic<std::size_t> next{0};
-        const std::size_t tasks = std::min(workers, wave.size());
-        std::vector<std::future<void>> futures;
-        futures.reserve(tasks);
-        for (std::size_t w = 0; w < tasks; ++w) {
-          futures.push_back(scan_pool().submit([&] {
-            while (true) {
-              const std::size_t i = next.fetch_add(1);
-              if (i >= wave.size()) return;
-              SelectExec body(db_, *stmt_.ctes[wave[i]].select, params_,
-                              &scope_, &envs[i]);
-              cte_results_[wave[i]] = body.run();
-              db_.count_cte_materializations();
-            }
-          }));
-        }
-        std::exception_ptr first_error;
-        for (std::future<void>& future : futures) {
-          try {
-            future.get();
-          } catch (...) {
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
-        if (first_error) std::rethrow_exception(first_error);
+        pool_for_each(workers, wave.size(),
+                      [&](std::size_t i, sql::ExprProgram::Scratch&) {
+                        SelectExec body(db_, *stmt_.ctes[wave[i]].select,
+                                        params_, &scope_, &envs[i]);
+                        cte_results_[wave[i]] = body.run();
+                        db_.count_cte_materializations();
+                      });
         db_.count_cte_parallel_materializations(wave.size());
         for (ExecEnv& env : envs) {
           for (auto& [key, value] : env.subquery_memo) {
@@ -1634,18 +1399,11 @@ class SelectExec {
       if (sub->fused_rejected && !e.subquery->fused_rejected) {
         e.subquery->fused_rejected = true;
       }
-      if ((sub->fused_plan && !e.subquery->fused_plan) ||
-          (sub->fused_group_plan && !e.subquery->fused_group_plan)) {
+      if (sub->fused_plan && !e.subquery->fused_plan) {
         sql::ExprRemap inverse;
         inverse.reserve(remap.size());
         for (const auto& [original, copy] : remap) inverse[copy] = original;
-        if (sub->fused_plan && !e.subquery->fused_plan) {
-          e.subquery->fused_plan = sql::remap_onto(*sub->fused_plan, inverse);
-        }
-        if (sub->fused_group_plan && !e.subquery->fused_group_plan) {
-          e.subquery->fused_group_plan =
-              sql::remap_onto(*sub->fused_group_plan, inverse);
-        }
+        e.subquery->fused_plan = sql::remap_onto(*sub->fused_plan, inverse);
       }
       if (sub_result.column_count() != 1) {
         throw EvalError("scalar subquery must produce one column");
@@ -1690,6 +1448,48 @@ class SelectExec {
     /// equality conjunct routes to: the scan provably yields nothing.
     bool empty = false;
   };
+
+  /// Partitions [first, first + count) a scan touches after pruning, with
+  /// their live-row and nonempty-partition totals.
+  struct PartitionRange {
+    std::size_t first = 0;
+    std::size_t count = 0;
+    std::size_t pruned = 0;
+    std::size_t live = 0;
+    std::size_t nonempty = 0;
+  };
+
+  /// The one pruning rule every partition-wise scan shares: `empty` (a
+  /// selector and an equality route disagree) prunes every partition, a
+  /// `partition` pins the scan to that one, otherwise all partitions scan.
+  [[nodiscard]] static PartitionRange partition_range(
+      const Table& table, std::optional<std::size_t> partition,
+      bool empty = false) {
+    const std::size_t nparts = table.partition_count();
+    PartitionRange range;
+    if (empty) {
+      range.pruned = nparts;
+      return range;
+    }
+    range.count = nparts;
+    if (partition && nparts > 1) {
+      range.first = *partition;
+      range.count = 1;
+      range.pruned = nparts - 1;
+    }
+    for (std::size_t p = range.first; p < range.first + range.count; ++p) {
+      const std::size_t rows_in_partition = table.partition_live_count(p);
+      range.live += rows_in_partition;
+      if (rows_in_partition > 0) ++range.nonempty;
+    }
+    return range;
+  }
+
+  /// Bumps the pruning counters for a scan over `range`.
+  void count_range(const PartitionRange& range) {
+    db_.count_partitions_pruned(range.pruned);
+    db_.count_partition_scans(range.count);
+  }
 
   /// Collects `column op constant` conjuncts over the given source and
   /// picks an index access path: equality probes win; otherwise range
@@ -1876,7 +1676,7 @@ class SelectExec {
   /// input — the row path raises as_double's diagnostic for that one.
   [[nodiscard]] bool collect_kernel_aggregates(
       const ScanSource& base, const std::vector<ValueType>& column_types,
-      std::vector<sql::FusedScanPlan::Aggregate>& out) const {
+      std::vector<sql::FusedPlan::Aggregate>& out) const {
     std::vector<const Expr*> agg_exprs;
     for (const auto& item : stmt_.items) {
       collect_aggregates(*item.expr, agg_exprs);
@@ -1887,7 +1687,7 @@ class SelectExec {
     }
     for (const Expr* agg : agg_exprs) {
       if (agg->distinct_arg) return false;
-      sql::FusedScanPlan::Aggregate entry;
+      sql::FusedPlan::Aggregate entry;
       entry.expr = agg;
       if (!agg->star_arg) {
         if (agg->args.empty()) return false;
@@ -1921,67 +1721,6 @@ class SelectExec {
     return true;
   }
 
-  /// Structural analysis for the fused single-pass columnar evaluator.
-  /// Eligible shape: single columnar base table, no joins, no GROUP BY
-  /// (grouped statements go through analyze_grouped), every aggregate a
-  /// supported non-DISTINCT call over a plain base column, COUNT(*), or a
-  /// VM-compilable argument expression, no bare column reference outside
-  /// aggregate arguments (global aggregation has no representative row on
-  /// this path), and a WHERE clause that is either an AND of
-  /// `column op constant` / `column IS [NOT] NULL` conjuncts or any
-  /// boolean expression the VM compiles. Returns null when the statement
-  /// doesn't fit.
-  [[nodiscard]] std::shared_ptr<const sql::FusedScanPlan> analyze_fused(
-      const ScanSource& base) const {
-    using Plan = sql::FusedScanPlan;
-    if (!stmt_.joins.empty() || !stmt_.group_by.empty()) return nullptr;
-    const Table& table = *base.table;
-    if (!table.columnar()) return nullptr;
-
-    auto plan = std::make_shared<Plan>();
-    plan->table = table.schema().name();
-    plan->column_types = column_type_snapshot(table);
-
-    if (!collect_kernel_aggregates(base, plan->column_types,
-                                   plan->aggregates)) {
-      return nullptr;
-    }
-    if (plan->aggregates.empty()) return nullptr;
-    for (const auto& item : stmt_.items) {
-      if (has_bare_column_ref(*item.expr)) return nullptr;
-    }
-    if (stmt_.having && has_bare_column_ref(*stmt_.having)) return nullptr;
-    for (const auto& key : stmt_.order_by) {
-      if (key.expr->kind != Expr::Kind::kAliasRef &&
-          has_bare_column_ref(*key.expr)) {
-        return nullptr;
-      }
-    }
-
-    if (!analyze_where(base, plan->column_types, plan->conjuncts,
-                       plan->where_program)) {
-      return nullptr;
-    }
-    return plan;
-  }
-
-  /// WHERE analysis shared by both fused plans: the AND-of-simple-conjuncts
-  /// decomposition keeps the dedicated comparison kernels; everything else
-  /// compiles to one whole-WHERE program whose boolean lanes AND into the
-  /// selection bitmap. False when neither fits.
-  [[nodiscard]] bool analyze_where(
-      const ScanSource& base, const std::vector<ValueType>& column_types,
-      std::vector<sql::FusedScanPlan::Conjunct>& conjuncts,
-      std::shared_ptr<const sql::ExprProgram>& where_program) const {
-    if (!stmt_.where) return true;
-    if (collect_fused_conjuncts(*stmt_.where, base, conjuncts)) return true;
-    conjuncts.clear();  // a partial decomposition may have accumulated
-    where_program = compile_program(*stmt_.where, base, column_types);
-    if (where_program == nullptr) return false;
-    const ValueType type = where_program->result_type();
-    return type == ValueType::kBool || type == ValueType::kNull;
-  }
-
   /// True when every bare (non-aggregate-argument) node of `e` has a
   /// per-group value on the grouped vectorized path: aggregate calls take
   /// their finalized values, nodes structurally equal to a compiled GROUP BY
@@ -1990,7 +1729,7 @@ class SelectExec {
   /// keys (the synthesized representative row carries those). `key_strs`
   /// holds each program key's structural rendering ("" for column keys).
   [[nodiscard]] bool grouped_refs_covered(
-      const Expr& e, const ScanSource& base, sql::FusedGroupPlan& plan,
+      const Expr& e, const ScanSource& base, sql::FusedPlan& plan,
       const std::vector<std::string>& key_strs) const {
     if (e.kind == Expr::Kind::kFuncCall && Binder::is_aggregate_name(e.func)) {
       return true;  // argument columns feed the kernels, not the output row
@@ -2024,26 +1763,30 @@ class SelectExec {
     return true;
   }
 
-  /// Structural analysis for the grouped vectorized evaluator. Eligible
-  /// shape: single columnar base table, no joins, every GROUP BY expression
-  /// a plain base column reference or a VM-compilable key expression,
-  /// supported aggregates (the fused path's rules; zero aggregates is fine
-  /// — pure key deduplication), every bare column reference outside
-  /// aggregate arguments covered per grouped_refs_covered, and the fused
-  /// path's WHERE forms. Returns null when the statement doesn't fit.
-  [[nodiscard]] std::shared_ptr<const sql::FusedGroupPlan> analyze_grouped(
+  /// Structural analysis for the columnar evaluator. Eligible shape:
+  /// single columnar base table, no joins, every GROUP BY expression (none
+  /// for a global aggregate) a plain base column reference or a
+  /// VM-compilable key expression, every aggregate a supported
+  /// non-DISTINCT call over a plain base column, COUNT(*), or a
+  /// VM-compilable argument (a keyed statement may have none — pure key
+  /// deduplication), every bare column reference outside aggregate
+  /// arguments covered per grouped_refs_covered (a global aggregate has no
+  /// representative row, so it admits none), and a WHERE clause the VM
+  /// compiles to one boolean program. Returns null when the statement
+  /// doesn't fit.
+  [[nodiscard]] std::shared_ptr<const sql::FusedPlan> analyze_aggregate(
       const ScanSource& base) const {
-    if (!stmt_.joins.empty() || stmt_.group_by.empty()) return nullptr;
+    if (!stmt_.joins.empty()) return nullptr;
     const Table& table = *base.table;
     if (!table.columnar()) return nullptr;
 
-    auto plan = std::make_shared<sql::FusedGroupPlan>();
+    auto plan = std::make_shared<sql::FusedPlan>();
     plan->table = table.schema().name();
     plan->column_types = column_type_snapshot(table);
 
     std::vector<std::string> key_strs;  // "" for plain-column keys
     for (const auto& g : stmt_.group_by) {
-      sql::FusedGroupPlan::GroupKey key;
+      sql::FusedPlan::GroupKey key;
       key_strs.emplace_back();
       if (g->kind == Expr::Kind::kColumnRef &&
           g->resolved_slot >= base.base_slot &&
@@ -2077,100 +1820,32 @@ class SelectExec {
       }
     }
 
-    if (!analyze_where(base, plan->column_types, plan->conjuncts,
-                       plan->where_program)) {
-      return nullptr;
+    if (stmt_.where) {
+      plan->where_program =
+          compile_program(*stmt_.where, base, plan->column_types);
+      if (plan->where_program == nullptr) return nullptr;
+      const ValueType type = plan->where_program->result_type();
+      if (type != ValueType::kBool && type != ValueType::kNull) return nullptr;
     }
     return plan;
   }
 
-  /// Decomposes an AND tree into fused-plan conjuncts; false when any
-  /// conjunct falls outside the supported `column op constant` /
-  /// `column IS [NOT] NULL` forms.
-  [[nodiscard]] bool collect_fused_conjuncts(
-      const Expr& e, const ScanSource& base,
-      std::vector<sql::FusedScanPlan::Conjunct>& out) const {
-    const auto column_of = [&](const Expr& side) -> std::optional<std::size_t> {
-      if (side.kind != Expr::Kind::kColumnRef) return std::nullopt;
-      if (side.resolved_slot < base.base_slot ||
-          side.resolved_slot >= base.base_slot + base.column_count()) {
-        return std::nullopt;
-      }
-      return side.resolved_slot - base.base_slot;
-    };
-    const auto is_constant = [](const Expr& side) {
-      return side.kind == Expr::Kind::kLiteral ||
-             side.kind == Expr::Kind::kParam ||
-             side.kind == Expr::Kind::kSubquery;
-    };
-
-    if (e.kind == Expr::Kind::kBinary && e.bin_op == BinOp::kAnd) {
-      return collect_fused_conjuncts(*e.lhs, base, out) &&
-             collect_fused_conjuncts(*e.rhs, base, out);
-    }
-    if (e.kind == Expr::Kind::kIsNull) {
-      const auto column = column_of(*e.lhs);
-      if (!column) return false;
-      sql::FusedScanPlan::Conjunct conjunct;
-      conjunct.column = *column;
-      conjunct.is_null_test = true;
-      conjunct.negated = e.negated;
-      out.push_back(conjunct);
-      return true;
-    }
-    if (e.kind != Expr::Kind::kBinary) return false;
-    BinOp op = e.bin_op;
-    switch (op) {
-      case BinOp::kEq:
-      case BinOp::kNe:
-      case BinOp::kLt:
-      case BinOp::kLe:
-      case BinOp::kGt:
-      case BinOp::kGe:
-        break;
-      default:
-        return false;
-    }
-    auto column = column_of(*e.lhs);
-    const Expr* constant =
-        column && is_constant(*e.rhs) ? e.rhs.get() : nullptr;
-    if (constant == nullptr) {
-      column = column_of(*e.rhs);
-      constant = column && is_constant(*e.lhs) ? e.lhs.get() : nullptr;
-      switch (op) {  // mirror the comparison
-        case BinOp::kLt: op = BinOp::kGt; break;
-        case BinOp::kLe: op = BinOp::kGe; break;
-        case BinOp::kGt: op = BinOp::kLt; break;
-        case BinOp::kGe: op = BinOp::kLe; break;
-        default: break;
-      }
-    }
-    if (!column || constant == nullptr) return false;
-    sql::FusedScanPlan::Conjunct conjunct;
-    conjunct.column = *column;
-    conjunct.op = op;
-    conjunct.constant = constant;
-    out.push_back(conjunct);
-    return true;
-  }
-
-  /// Entry point of the fast path: returns the (output row, order keys)
-  /// pairs the scan + WHERE + run_aggregation pipeline would have produced,
-  /// or nullopt to fall back to it. The structural verdict is cached on the
-  /// statement (fused_plan / fused_rejected); everything value-dependent is
-  /// re-derived here per execution.
+  /// Entry point of the columnar evaluator: returns the (output row, order
+  /// keys) pairs the scan + WHERE + run_aggregation pipeline would have
+  /// produced, or nullopt to fall back to it. The structural verdict is
+  /// cached on the statement (fused_plan / fused_rejected); everything
+  /// value-dependent is re-derived here per execution.
   std::optional<std::vector<std::pair<Row, Row>>> try_vectorized_aggregation() {
     if (stmt_.fused_rejected) return std::nullopt;
     if (sources_.size() != 1) return std::nullopt;
     const ScanSource& base = sources_[0];
     if (base.table == nullptr) return std::nullopt;
-    if (!stmt_.group_by.empty()) return try_grouped_vectorized(base);
     const Table& table = *base.table;
 
-    const sql::FusedScanPlan* plan = stmt_.fused_plan.get();
+    const sql::FusedPlan* plan = stmt_.fused_plan.get();
     const bool reused = plan != nullptr;
     if (plan == nullptr) {
-      auto built = analyze_fused(base);
+      auto built = analyze_aggregate(base);
       if (built == nullptr) {
         stmt_.fused_rejected = true;
         return std::nullopt;
@@ -2194,324 +1869,14 @@ class SelectExec {
     }
 
     // Index probes beat a columnar partition walk when the planner found
-    // one; the fused path only replaces full scans.
+    // one; the columnar evaluator only replaces full scans.
     const BaseScanPlan scan = plan_base_scan(stmt_.where.get(), base);
     if (scan.kind != BaseScanPlan::Kind::kFullScan) return std::nullopt;
 
-    // Per-execution constants (parameters and subquery results change run
-    // to run) and type compatibility — the row path raises the diagnostics
-    // for pairs the kernels don't cover.
-    std::vector<Value> constants(plan->conjuncts.size());
-    EvalCtx const_ctx{nullptr, params_, nullptr, &subquery_values_, nullptr};
-    for (std::size_t i = 0; i < plan->conjuncts.size(); ++i) {
-      const auto& conjunct = plan->conjuncts[i];
-      if (conjunct.is_null_test) continue;
-      constants[i] = eval_expr(*conjunct.constant, const_ctx);
-      if (!conjunct_types_supported(plan->column_types[conjunct.column],
-                                    constants[i])) {
-        return std::nullopt;
-      }
-    }
-
-    // Compiled programs re-bind their runtime-constant slots the same way;
-    // a type drift since compilation declines this execution.
-    std::size_t program_evals = 0;
-    sql::ExprProgram::Bound where_bound;
-    if (!bind_program(plan->where_program.get(), where_bound, program_evals)) {
-      return std::nullopt;
-    }
-    std::vector<sql::ExprProgram::Bound> agg_bounds(plan->aggregates.size());
-    for (std::size_t a = 0; a < plan->aggregates.size(); ++a) {
-      if (!bind_program(plan->aggregates[a].program.get(), agg_bounds[a],
-                        program_evals)) {
-        return std::nullopt;
-      }
-    }
-    if (program_evals > 0) db_.count_expr_program_evals(program_evals);
-
-    if (reused) db_.count_fused_plan_evals();
-    return run_columnar_aggregation(table, *plan, constants, where_bound,
-                                    agg_bounds, scan);
-  }
-
-  /// Selection bitmaps for partitions [first, first + count): one bitmap
-  /// per partition, seeded from the live bits (tombstones never select) and
-  /// narrowed batch-at-a-time — by each conjunct kernel, or by the compiled
-  /// whole-WHERE program's boolean lanes (NULL-as-false; the live-seeded
-  /// bitmap doubles as the program's demand mask, so `/`, `%` and SQRT
-  /// raise exactly where the row path would have evaluated them). The
-  /// filter stage fans out across the scan pool under the same gate as
-  /// run_heap_scan; each worker owns a VM scratch. `live` and `nonempty`
-  /// are the live-row and nonempty-partition totals over the same range
-  /// (callers already have them for their own counters).
-  std::vector<std::vector<std::uint8_t>> build_selection_bitmaps(
-      const Table& table,
-      const std::vector<sql::FusedScanPlan::Conjunct>& conjuncts,
-      const sql::ExprProgram* where_program,
-      const sql::ExprProgram::Bound& where_bound,
-      const std::vector<ValueType>& column_types,
-      const std::vector<Value>& constants, std::size_t first,
-      std::size_t count, std::size_t live, std::size_t nonempty) {
-    std::vector<std::vector<std::uint8_t>> sels(count);
-    const auto filter_partition = [&](std::size_t index,
-                                      sql::ExprProgram::Scratch& scratch) {
-      const std::size_t p = first + index;
-      const std::size_t lanes = table.partition_heap_size(p);
-      std::vector<std::uint8_t>& sel = sels[index];
-      const std::uint8_t* live_bits = table.live_bits(p);
-      sel.assign(live_bits, live_bits + lanes);
-      if (lanes == 0) return;
-      if (where_program != nullptr) {
-        std::vector<Table::ColumnSlice> columns(column_types.size());
-        for (const std::size_t c : where_program->used_columns()) {
-          columns[c] = table.column_slice(p, c);
-        }
-        for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
-          const std::size_t e = std::min(lanes, b + kVectorBatch);
-          const sql::ExprProgram::Result res = run_program(
-              *where_program, scratch, where_bound, columns, sel.data(), b, e);
-          // Result lanes are batch-relative; undemanded lanes hold
-          // unspecified values, so AND through the incoming bitmap.
-          for (std::size_t i = b; i < e; ++i) {
-            sel[i] &= static_cast<std::uint8_t>(res.valid[i - b] != 0 &&
-                                                res.ints[i - b] != 0);
-          }
-        }
-        return;
-      }
-      if (conjuncts.empty()) return;
-      std::vector<Table::ColumnSlice> slices(conjuncts.size());
-      for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-        slices[c] = table.column_slice(p, conjuncts[c].column);
-      }
-      for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
-        const std::size_t e = std::min(lanes, b + kVectorBatch);
-        for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-          apply_conjunct_batch(conjuncts[c], constants[c],
-                               column_types[conjuncts[c].column], slices[c],
-                               b, e, sel.data());
-        }
-      }
-    };
-
-    const Database::ScanConfig& config = db_.scan_config();
-    std::size_t workers =
-        config.threads == 0 ? scan_pool().size() : config.threads;
-    workers = std::min(workers, nonempty);
-    if (env_->on_pool) workers = 1;  // pool tasks never block on the pool
-    if (workers > 1 && live >= config.min_parallel_rows) {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::future<void>> futures;
-      futures.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        futures.push_back(scan_pool().submit([&] {
-          sql::ExprProgram::Scratch scratch;
-          while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= count) return;
-            filter_partition(i, scratch);
-          }
-        }));
-      }
-      std::exception_ptr first_error;
-      for (auto& future : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-      db_.count_parallel_scan_batches();
-    } else {
-      sql::ExprProgram::Scratch scratch;
-      for (std::size_t i = 0; i < count; ++i) filter_partition(i, scratch);
-    }
-    return sels;
-  }
-
-  /// The fused evaluator proper: selection bitmaps + aggregate kernels over
-  /// the column vectors, partition-major in heap order. Aggregate
-  /// accumulation stays serial in partition order so every RunningStats
-  /// sees the row path's exact push sequence.
-  std::vector<std::pair<Row, Row>> run_columnar_aggregation(
-      const Table& table, const sql::FusedScanPlan& plan,
-      const std::vector<Value>& constants,
-      const sql::ExprProgram::Bound& where_bound,
-      const std::vector<sql::ExprProgram::Bound>& agg_bounds,
-      const BaseScanPlan& scan) {
-    const std::size_t nparts = table.partition_count();
-    std::size_t first = 0;
-    std::size_t count = nparts;
-    if (scan.empty) {
-      db_.count_partitions_pruned(nparts);
-      count = 0;
-    } else if (scan.partition && nparts > 1) {
-      first = *scan.partition;
-      count = 1;
-      db_.count_partitions_pruned(nparts - 1);
-    }
-    db_.count_partition_scans(count);
-    db_.count_columnar_scans(count);
-
-    std::size_t live = 0;
-    std::size_t nonempty = 0;
-    for (std::size_t p = first; p < first + count; ++p) {
-      const std::size_t rows_in_partition = table.partition_live_count(p);
-      live += rows_in_partition;
-      if (rows_in_partition > 0) ++nonempty;
-    }
-
-    std::vector<std::vector<std::uint8_t>> sels = build_selection_bitmaps(
-        table, plan.conjuncts, plan.where_program.get(), where_bound,
-        plan.column_types, constants, first, count, live, nonempty);
-
-    // Serial accumulation, partition-major in lane (= heap) order.
-    const std::size_t naggs = plan.aggregates.size();
-    std::vector<AggState> states(naggs);
-    std::vector<MinMaxAcc> minmax(naggs);
-    std::vector<AggKernel> kernels(naggs);
-    std::vector<sql::ExprProgram::Scratch> scratches(naggs);
-    bool any_program = false;
-    for (std::size_t a = 0; a < naggs; ++a) {
-      kernels[a] = agg_kernel_of(*plan.aggregates[a].expr);
-      any_program |= plan.aggregates[a].program != nullptr;
-    }
-    std::uint64_t batches = 0;
-    std::size_t selected = 0;
-    for (std::size_t index = 0; index < count; ++index) {
-      const std::size_t p = first + index;
-      const std::size_t lanes = table.partition_heap_size(p);
-      if (lanes == 0) continue;
-      const std::uint8_t* sel = sels[index].data();
-      std::vector<Table::ColumnSlice> slices(naggs);
-      for (std::size_t a = 0; a < naggs; ++a) {
-        if (plan.aggregates[a].column != static_cast<std::size_t>(-1)) {
-          slices[a] = table.column_slice(p, plan.aggregates[a].column);
-        }
-      }
-      std::vector<Table::ColumnSlice> columns;
-      if (any_program) {
-        columns.resize(plan.column_types.size());
-        for (std::size_t a = 0; a < naggs; ++a) {
-          if (plan.aggregates[a].program == nullptr) continue;
-          for (const std::size_t c : plan.aggregates[a].program->used_columns()) {
-            columns[c] = table.column_slice(p, c);
-          }
-        }
-      }
-      for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
-        const std::size_t e = std::min(lanes, b + kVectorBatch);
-        for (std::size_t i = b; i < e; ++i) selected += sel[i];
-        for (std::size_t a = 0; a < naggs; ++a) {
-          const auto& agg = plan.aggregates[a];
-          if (agg.program != nullptr) {
-            // The selection bitmap doubles as the demand mask: the row path
-            // evaluates aggregate arguments only for rows passing WHERE.
-            // Result lanes are batch-relative, so the kernel runs over the
-            // shifted selection pointer.
-            const sql::ExprProgram::Result res =
-                run_program(*agg.program, scratches[a], agg_bounds[a],
-                            columns, sel, b, e);
-            accumulate_batch(kernels[a], res.type, res.as_slice(e - b), 0,
-                             e - b, sel + b, states[a], minmax[a]);
-            continue;
-          }
-          const std::size_t column = agg.column;
-          accumulate_batch(kernels[a],
-                           column == static_cast<std::size_t>(-1)
-                               ? ValueType::kNull
-                               : plan.column_types[column],
-                           slices[a], b, e, sel, states[a], minmax[a]);
-        }
-        ++batches;
-      }
-    }
-    db_.count_vectorized_batches(batches);
-    db_.count_rows_skipped_by_bitmap(live - selected);
-
-    for (std::size_t a = 0; a < naggs; ++a) {
-      if (kernels[a] != AggKernel::kMinMax || states[a].count == 0) continue;
-      const ValueType type =
-          plan.aggregates[a].program != nullptr
-              ? plan.aggregates[a].program->result_type()
-              : plan.column_types[plan.aggregates[a].column];
-      states[a].min_value = minmax_value(type, minmax[a], /*max_side=*/false);
-      states[a].max_value = minmax_value(type, minmax[a], /*max_side=*/true);
-      states[a].has_minmax = true;
-    }
-
-    // Identical tail to run_aggregation's single-group output: finalize,
-    // HAVING, project, order keys. Bare column refs were rejected at
-    // analysis time, so the empty representative row is never read.
-    std::unordered_map<const Expr*, Value> agg_values;
-    for (std::size_t a = 0; a < plan.aggregates.size(); ++a) {
-      agg_values[plan.aggregates[a].expr] =
-          agg_finalize(*plan.aggregates[a].expr, states[a]);
-    }
-    std::vector<std::pair<Row, Row>> out;
-    Row empty_row;
-    EvalCtx ctx{&empty_row, params_, &agg_values, &subquery_values_, nullptr};
-    if (stmt_.having && !eval_predicate(*stmt_.having, ctx)) return out;
-    Row output;
-    output.reserve(stmt_.items.size());
-    for (const auto& item : stmt_.items) {
-      output.push_back(eval_expr(*item.expr, ctx));
-    }
-    Row keys = eval_order_keys(ctx, output);
-    out.emplace_back(std::move(output), std::move(keys));
-    return out;
-  }
-
-  /// Grouped twin of try_vectorized_aggregation: hash GROUP BY over the
-  /// column vectors. Same caching and validation discipline against the
-  /// statement's fused_group_plan; the eligible shapes are disjoint (GROUP
-  /// BY presence routes here), so the negative verdict shares
-  /// fused_rejected.
-  std::optional<std::vector<std::pair<Row, Row>>> try_grouped_vectorized(
-      const ScanSource& base) {
-    const Table& table = *base.table;
-
-    const sql::FusedGroupPlan* plan = stmt_.fused_group_plan.get();
-    const bool reused = plan != nullptr;
-    if (plan == nullptr) {
-      auto built = analyze_grouped(base);
-      if (built == nullptr) {
-        stmt_.fused_rejected = true;
-        return std::nullopt;
-      }
-      stmt_.fused_group_plan = std::move(built);
-      plan = stmt_.fused_group_plan.get();
-    } else {
-      // Same catalog re-validation as the global path: the table may have
-      // been dropped and re-created with another layout.
-      if (!support::iequals(table.schema().name(), plan->table) ||
-          !table.columnar() ||
-          table.schema().column_count() != plan->column_types.size()) {
-        return std::nullopt;
-      }
-      for (std::size_t i = 0; i < plan->column_types.size(); ++i) {
-        if (table.schema().column(i).type != plan->column_types[i]) {
-          return std::nullopt;
-        }
-      }
-    }
-
-    const BaseScanPlan scan = plan_base_scan(stmt_.where.get(), base);
-    if (scan.kind != BaseScanPlan::Kind::kFullScan) return std::nullopt;
-
-    std::vector<Value> constants(plan->conjuncts.size());
-    EvalCtx const_ctx{nullptr, params_, nullptr, &subquery_values_, nullptr};
-    for (std::size_t i = 0; i < plan->conjuncts.size(); ++i) {
-      const auto& conjunct = plan->conjuncts[i];
-      if (conjunct.is_null_test) continue;
-      constants[i] = eval_expr(*conjunct.constant, const_ctx);
-      if (!conjunct_types_supported(plan->column_types[conjunct.column],
-                                    constants[i])) {
-        return std::nullopt;
-      }
-    }
-
+    // Every program re-binds its runtime-constant slots per execution
+    // (parameters and subquery results change run to run); a type drift
+    // since compilation declines this execution to the row path, which
+    // raises the interpreter's usual diagnostics.
     std::size_t program_evals = 0;
     sql::ExprProgram::Bound where_bound;
     if (!bind_program(plan->where_program.get(), where_bound, program_evals)) {
@@ -2534,52 +1899,99 @@ class SelectExec {
     if (program_evals > 0) db_.count_expr_program_evals(program_evals);
 
     if (reused) db_.count_fused_plan_evals();
-    return run_columnar_grouped(table, *plan, constants, where_bound,
-                                key_bounds, agg_bounds, scan);
+    return run_columnar_grouped(table, *plan, where_bound, key_bounds,
+                                agg_bounds, scan);
   }
 
-  /// The grouped vectorized evaluator: selection bitmaps, then a hash group
-  /// table keyed on the GROUP BY column lanes, with per-group aggregate
-  /// state fed by the batch kernels. Group ids are assigned in first-seen
-  /// (heap) order so every per-group push sequence is exactly the row
-  /// path's subsequence; output replays run_aggregation's std::map order by
-  /// sorting the groups with the same key comparator.
+  /// Scan-pool workers for a partition-wise pass over `range`: the
+  /// configured thread count (0 = pool size), capped by the partitions that
+  /// actually hold rows — a range of mostly empty partitions (skewed
+  /// routing, heavy deletes) would otherwise pay pool dispatch for workers
+  /// that find nothing to do. 1 (serial) below the configured row threshold
+  /// and for executions already on a scan-pool worker (parallel CTE
+  /// bodies): blocking on the pool from inside it can deadlock the pool.
+  [[nodiscard]] std::size_t scan_workers(const PartitionRange& range) const {
+    const Database::ScanConfig& config = db_.scan_config();
+    if (env_->on_pool || range.live < config.min_parallel_rows) return 1;
+    return std::min(config.threads == 0 ? scan_pool().size() : config.threads,
+                    range.nonempty);
+  }
+
+  /// Selection bitmaps for the partitions of `range`: one bitmap per
+  /// partition, seeded from the live bits (tombstones never select) and
+  /// narrowed batch-at-a-time by the compiled WHERE program's boolean lanes
+  /// (NULL-as-false; the live-seeded bitmap doubles as the program's demand
+  /// mask, so `/`, `%` and SQRT raise exactly where the row path would have
+  /// evaluated them). The filter stage fans out across the scan pool under
+  /// the same gate as run_heap_scan; each worker owns a VM scratch.
+  std::vector<std::vector<std::uint8_t>> build_selection_bitmaps(
+      const Table& table, const sql::FusedPlan& plan,
+      const sql::ExprProgram::Bound& where_bound, const PartitionRange& range) {
+    const sql::ExprProgram* where_program = plan.where_program.get();
+    std::vector<std::vector<std::uint8_t>> sels(range.count);
+    const auto filter_partition = [&](std::size_t index,
+                                      sql::ExprProgram::Scratch& scratch) {
+      const std::size_t p = range.first + index;
+      const std::size_t lanes = table.partition_heap_size(p);
+      std::vector<std::uint8_t>& sel = sels[index];
+      const std::uint8_t* live_bits = table.live_bits(p);
+      sel.assign(live_bits, live_bits + lanes);
+      if (lanes == 0 || where_program == nullptr) return;
+      std::vector<Table::ColumnSlice> columns(plan.column_types.size());
+      for (const std::size_t c : where_program->used_columns()) {
+        columns[c] = table.column_slice(p, c);
+      }
+      for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
+        const std::size_t e = std::min(lanes, b + kVectorBatch);
+        const sql::ExprProgram::Result res = run_program(
+            *where_program, scratch, where_bound, columns, sel.data(), b, e);
+        // Result lanes are batch-relative; undemanded lanes hold
+        // unspecified values, so AND through the incoming bitmap.
+        for (std::size_t i = b; i < e; ++i) {
+          sel[i] &= static_cast<std::uint8_t>((res.valid[i - b] != 0) &
+                                              (res.ints[i - b] != 0));
+        }
+      }
+    };
+
+    if (const std::size_t workers = scan_workers(range); workers > 1) {
+      pool_for_each(workers, range.count, filter_partition);
+      db_.count_parallel_scan_batches();
+    } else {
+      sql::ExprProgram::Scratch scratch;
+      for (std::size_t i = 0; i < range.count; ++i) {
+        filter_partition(i, scratch);
+      }
+    }
+    return sels;
+  }
+
+  /// The columnar evaluator proper: selection bitmaps, then a hash group
+  /// table keyed on the GROUP BY lanes, with per-group aggregate state fed
+  /// by the batch kernels. Group ids are assigned in first-seen (heap)
+  /// order and accumulation stays serial in partition order, so every
+  /// per-group push sequence is exactly the row path's subsequence; output
+  /// replays run_aggregation's std::map order by sorting the groups with
+  /// the same key comparator. A global aggregate (zero keys) builds no hash
+  /// index and sorts nothing: its one group exists up front, so an empty
+  /// input still yields one row.
   std::vector<std::pair<Row, Row>> run_columnar_grouped(
-      const Table& table, const sql::FusedGroupPlan& plan,
-      const std::vector<Value>& constants,
+      const Table& table, const sql::FusedPlan& plan,
       const sql::ExprProgram::Bound& where_bound,
       const std::vector<sql::ExprProgram::Bound>& key_bounds,
       const std::vector<sql::ExprProgram::Bound>& agg_bounds,
       const BaseScanPlan& scan) {
-    const std::size_t nparts = table.partition_count();
-    std::size_t first = 0;
-    std::size_t count = nparts;
-    if (scan.empty) {
-      db_.count_partitions_pruned(nparts);
-      count = 0;
-    } else if (scan.partition && nparts > 1) {
-      first = *scan.partition;
-      count = 1;
-      db_.count_partitions_pruned(nparts - 1);
-    }
-    db_.count_partition_scans(count);
-    db_.count_columnar_scans(count);
-    db_.count_grouped_vector_evals();
-
-    std::size_t live = 0;
-    std::size_t nonempty = 0;
-    for (std::size_t p = first; p < first + count; ++p) {
-      const std::size_t rows_in_partition = table.partition_live_count(p);
-      live += rows_in_partition;
-      if (rows_in_partition > 0) ++nonempty;
-    }
-
-    std::vector<std::vector<std::uint8_t>> sels = build_selection_bitmaps(
-        table, plan.conjuncts, plan.where_program.get(), where_bound,
-        plan.column_types, constants, first, count, live, nonempty);
-
+    const PartitionRange range =
+        partition_range(table, scan.partition, scan.empty);
+    count_range(range);
+    db_.count_columnar_scans(range.count);
     const std::size_t naggs = plan.aggregates.size();
     const std::size_t nkeys = plan.group_keys.size();
+    if (nkeys > 0) db_.count_grouped_vector_evals();
+
+    std::vector<std::vector<std::uint8_t>> sels =
+        build_selection_bitmaps(table, plan, where_bound, range);
+
     std::vector<AggKernel> kernels(naggs);
     std::vector<sql::ExprProgram::Scratch> agg_scratches(naggs);
     bool any_program = false;
@@ -2604,17 +2016,31 @@ class SelectExec {
     // Group table: keys[gid] is the materialized GROUP BY tuple, the index
     // maps key hash → candidate gids, and aggregate state is column-major
     // per aggregate so accumulate_grouped_batch indexes states[gid]
-    // directly.
+    // directly. A global aggregate's one group (gid 0) exists up front and
+    // every selected lane keeps gid 0 — no hash index is ever consulted.
     std::vector<Row> keys;
     std::unordered_multimap<std::size_t, std::uint32_t> group_index;
     std::vector<std::vector<AggState>> states(naggs);
     std::vector<std::vector<MinMaxAcc>> minmax(naggs);
 
+    const auto new_group = [&](Row key) {
+      const auto gid = static_cast<std::uint32_t>(keys.size());
+      keys.push_back(std::move(key));
+      for (std::size_t a = 0; a < naggs; ++a) {
+        states[a].emplace_back();
+        minmax[a].emplace_back();
+      }
+      return gid;
+    };
+    if (nkeys == 0) new_group(Row{});
+    const auto accumulate = nkeys > 0 ? accumulate_grouped_batch<true>
+                                      : accumulate_grouped_batch<false>;
+
     std::uint64_t batches = 0;
     std::size_t selected = 0;
     std::vector<std::uint32_t> gids;
-    for (std::size_t index = 0; index < count; ++index) {
-      const std::size_t p = first + index;
+    for (std::size_t index = 0; index < range.count; ++index) {
+      const std::size_t p = range.first + index;
       const std::size_t lanes = table.partition_heap_size(p);
       if (lanes == 0) continue;
       const std::uint8_t* sel = sels[index].data();
@@ -2670,19 +2096,14 @@ class SelectExec {
           }
           if (match) return it->second;
         }
-        const auto gid = static_cast<std::uint32_t>(keys.size());
         Row key;
         key.reserve(nkeys);
         for (std::size_t k = 0; k < nkeys; ++k) {
           key.push_back(group_lane_value(key_types[k], key_access[k].slice,
                                          lane - key_access[k].offset));
         }
-        keys.push_back(std::move(key));
+        const std::uint32_t gid = new_group(std::move(key));
         group_index.emplace(h, gid);
-        for (std::size_t a = 0; a < naggs; ++a) {
-          states[a].emplace_back();
-          minmax[a].emplace_back();
-        }
         return gid;
       };
       gids.assign(lanes, 0);
@@ -2696,10 +2117,14 @@ class SelectExec {
           key_access[k].slice = res.as_slice(e - b);
           key_access[k].offset = b;
         }
-        for (std::size_t i = b; i < e; ++i) {
-          if (sel[i] == 0) continue;
-          ++selected;
-          gids[i] = group_of(i);
+        if (nkeys == 0) {
+          for (std::size_t i = b; i < e; ++i) selected += sel[i];
+        } else {
+          for (std::size_t i = b; i < e; ++i) {
+            if (sel[i] == 0) continue;
+            ++selected;
+            gids[i] = group_of(i);
+          }
         }
         for (std::size_t a = 0; a < naggs; ++a) {
           const auto& agg = plan.aggregates[a];
@@ -2707,25 +2132,24 @@ class SelectExec {
             const sql::ExprProgram::Result res =
                 run_program(*agg.program, agg_scratches[a], agg_bounds[a],
                             columns, sel, b, e);
-            accumulate_grouped_batch(kernels[a], res.type, res.as_slice(e - b),
-                                     0, e - b, sel + b, gids.data() + b,
-                                     states[a], minmax[a]);
+            accumulate(kernels[a], res.type, res.as_slice(e - b), 0, e - b,
+                       sel + b, gids.data() + b, states[a], minmax[a]);
             continue;
           }
           const std::size_t column = agg.column;
-          accumulate_grouped_batch(kernels[a],
-                                   column == static_cast<std::size_t>(-1)
-                                       ? ValueType::kNull
-                                       : plan.column_types[column],
-                                   agg_slices[a], b, e, sel, gids.data(),
-                                   states[a], minmax[a]);
+          accumulate(kernels[a],
+                     column == static_cast<std::size_t>(-1)
+                         ? ValueType::kNull
+                         : plan.column_types[column],
+                     agg_slices[a], b, e, sel, gids.data(), states[a],
+                     minmax[a]);
         }
         ++batches;
       }
     }
     db_.count_vectorized_batches(batches);
-    db_.count_rows_skipped_by_bitmap(live - selected);
-    db_.count_groups_built(keys.size());
+    db_.count_rows_skipped_by_bitmap(range.live - selected);
+    if (nkeys > 0) db_.count_groups_built(keys.size());
 
     for (std::size_t a = 0; a < naggs; ++a) {
       if (kernels[a] != AggKernel::kMinMax) continue;
@@ -2745,22 +2169,23 @@ class SelectExec {
 
     // run_aggregation's std::map iterates groups in ascending key order;
     // replay that by sorting the group ids with the same lexicographic
-    // comparator.
+    // comparator (a global aggregate's one group needs no order).
     std::vector<std::uint32_t> order(keys.size());
     for (std::size_t g = 0; g < order.size(); ++g) {
       order[g] = static_cast<std::uint32_t>(g);
     }
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const Row& x = keys[a];
-                const Row& y = keys[b];
-                for (std::size_t i = 0; i < x.size(); ++i) {
-                  const int c = Value::compare_total(x[i], y[i]);
-                  if (c != 0) return c < 0;
-                }
-                return false;
-              });
-
+    if (nkeys > 0) {
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  const Row& x = keys[a];
+                  const Row& y = keys[b];
+                  for (std::size_t i = 0; i < x.size(); ++i) {
+                    const int c = Value::compare_total(x[i], y[i]);
+                    if (c != 0) return c < 0;
+                  }
+                  return false;
+                });
+    }
     std::vector<std::pair<Row, Row>> out;
     out.reserve(order.size());
     for (const std::uint32_t g : order) {
@@ -2802,24 +2227,12 @@ class SelectExec {
   /// owns whole partitions, buckets merge in partition order, so the
   /// parallel row stream is byte-identical to the serial one.
   std::vector<Row> run_heap_scan(const Table& table, const BaseScanPlan& plan) {
-    const std::size_t nparts = table.partition_count();
-    std::size_t first = 0;
-    std::size_t count = nparts;
-    if (plan.empty) {
-      // Selector and equality routing disagree: nothing can match.
-      db_.count_partitions_pruned(nparts);
-      if (stmt_.joins.empty() && stmt_.where) where_applied_ = true;
-      return {};
-    }
-    if (plan.partition && nparts > 1) {
-      first = *plan.partition;
-      count = 1;
-      db_.count_partitions_pruned(nparts - 1);
-    }
-    db_.count_partition_scans(count);
-
+    const PartitionRange range =
+        partition_range(table, plan.partition, plan.empty);
+    count_range(range);
     const Expr* filter =
         stmt_.joins.empty() && stmt_.where ? stmt_.where.get() : nullptr;
+    where_applied_ = filter != nullptr;
     const auto scan_partition = [&](std::size_t p, std::vector<Row>& out) {
       table.for_each_live_row_in(p, [&](std::size_t, const Row& row) {
         if (filter != nullptr) {
@@ -2830,51 +2243,13 @@ class SelectExec {
       });
     };
 
-    std::size_t live = 0;
-    std::size_t nonempty = 0;
-    for (std::size_t p = first; p < first + count; ++p) {
-      const std::size_t rows_in_partition = table.partition_live_count(p);
-      live += rows_in_partition;
-      if (rows_in_partition > 0) ++nonempty;
-    }
-
-    const Database::ScanConfig& config = db_.scan_config();
-    std::size_t workers =
-        config.threads == 0 ? scan_pool().size() : config.threads;
-    // Fan out only over partitions that actually hold rows: a scan whose
-    // unpruned range is mostly empty partitions (skewed routing, heavy
-    // deletes) would otherwise pay pool dispatch for workers that find
-    // nothing to do, and a single loaded partition gains nothing from the
-    // pool at all.
-    workers = std::min(workers, nonempty);
-    // Executions already on a scan-pool worker (parallel CTE bodies) scan
-    // serially: blocking on the pool from inside it can deadlock the pool.
-    if (env_->on_pool) workers = 1;
-
     std::vector<Row> rows;
-    if (workers > 1 && live >= config.min_parallel_rows) {
-      std::vector<std::vector<Row>> buckets(count);
-      std::atomic<std::size_t> next{0};
-      std::vector<std::future<void>> futures;
-      futures.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        futures.push_back(scan_pool().submit([&] {
-          while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= count) return;
-            scan_partition(first + i, buckets[i]);
-          }
-        }));
-      }
-      std::exception_ptr first_error;
-      for (auto& future : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
+    if (const std::size_t workers = scan_workers(range); workers > 1) {
+      std::vector<std::vector<Row>> buckets(range.count);
+      pool_for_each(workers, range.count,
+                    [&](std::size_t i, sql::ExprProgram::Scratch&) {
+                      scan_partition(range.first + i, buckets[i]);
+                    });
       db_.count_parallel_scan_batches();
       std::size_t total = 0;
       for (const std::vector<Row>& bucket : buckets) total += bucket.size();
@@ -2883,12 +2258,11 @@ class SelectExec {
         for (Row& row : bucket) rows.push_back(std::move(row));
       }
     } else {
-      rows.reserve(live);
-      for (std::size_t p = first; p < first + count; ++p) {
+      rows.reserve(range.live);
+      for (std::size_t p = range.first; p < range.first + range.count; ++p) {
         scan_partition(p, rows);
       }
     }
-    if (filter != nullptr) where_applied_ = true;
     return rows;
   }
 
@@ -2918,15 +2292,91 @@ class SelectExec {
     return std::make_pair(b.resolved_slot, a.resolved_slot - inner_begin);
   }
 
+  /// The columnar hash join's one build/probe/assemble path, over the key
+  /// lanes of both sides — zero-copy column slices for plain-column keys,
+  /// VM output lanes for computed ones. Builds from the smaller side (ties
+  /// build from the inner source, the row hash join's only choice), probes
+  /// with the other, and assembles rows only for surviving lane pairs, each
+  /// re-filtered by the whole ON clause. Emission is outer-scan-major with
+  /// inner-scan order within each outer row — byte-identical to the row
+  /// hash join.
+  std::vector<Row> hash_join_rows(
+      JoinKeyKind kind, const ScanSource& base,
+      const std::vector<Table::KeySlice>& outer_slices, std::size_t outer_live,
+      const ScanSource& inner, const std::vector<Table::KeySlice>& inner_slices,
+      std::size_t inner_live, const sql::Join& join) {
+    const bool build_is_outer = outer_live < inner_live;
+    const std::vector<Table::KeySlice>& build =
+        build_is_outer ? outer_slices : inner_slices;
+    const std::vector<Table::KeySlice>& probe =
+        build_is_outer ? inner_slices : outer_slices;
+
+    std::uint64_t probed = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    switch (kind) {
+      case JoinKeyKind::kNumeric:
+        // Ints compare through double (the compare_total class) and ±0.0
+        // collapses so hash equality matches value equality.
+        pairs = columnar_join_pairs<double>(
+            build, probe, build_is_outer, probed,
+            [](const Table::ColumnSlice& s, std::size_t i) {
+              const double d = s.ints != nullptr
+                                   ? static_cast<double>(s.ints[i])
+                                   : s.reals[i];
+              return d == 0.0 ? 0.0 : d;
+            });
+        break;
+      case JoinKeyKind::kBool:
+      case JoinKeyKind::kDateTime:
+        pairs = columnar_join_pairs<std::int64_t>(
+            build, probe, build_is_outer, probed,
+            [](const Table::ColumnSlice& s, std::size_t i) {
+              return s.ints[i];
+            });
+        break;
+      case JoinKeyKind::kString:
+        // Views into the key lanes: stable for this call (DDL/DML never
+        // interleaves with an executing SELECT, and computed lanes outlive
+        // the join).
+        pairs = columnar_join_pairs<std::string_view>(
+            build, probe, build_is_outer, probed,
+            [](const Table::ColumnSlice& s, std::size_t i) {
+              return std::string_view(s.strs[i]);
+            });
+        break;
+    }
+    db_.count_hash_join_builds();
+    db_.count_join_lanes_probed(probed);
+
+    // Build-from-inner already emits outer-major (probe order) with
+    // insertion (= inner scan) order per key. Build-from-outer emits
+    // probe-major; row-id numeric order is scan order, so one sort
+    // restores the row path's emission order.
+    if (build_is_outer) std::sort(pairs.begin(), pairs.end());
+
+    std::vector<Row> joined;
+    joined.reserve(pairs.size());
+    for (const auto& [outer_id, inner_id] : pairs) {
+      Row combined = base.table->row(outer_id);
+      const Row& inner_row = inner.table->row(inner_id);
+      combined.insert(combined.end(), inner_row.begin(), inner_row.end());
+      EvalCtx ctx{&combined, params_, nullptr, &subquery_values_, nullptr};
+      if (!join.on || eval_predicate(*join.on, ctx)) {
+        joined.push_back(std::move(combined));
+      }
+    }
+    return joined;
+  }
+
   /// Expression-key extension of the columnar hash join (the VM's join
   /// satellite): when the whole ON clause is a single `expr = expr`
   /// equality whose sides each compile over exactly one table, both sides'
-  /// key lanes are materialized by the batch VM into owned buffers and the
-  /// plain path's build/probe kernels consume them unchanged. Plain-column
-  /// keys never arrive here — equi_join_key handles those, AND trees
-  /// included. Declines (nullopt, row-path nested loop) when a side doesn't
-  /// compile, the key types have no kernel, a bind re-types a constant, or
-  /// a live double key lane holds NaN (compare_sql treats NaN as equal to
+  /// key lanes are materialized by the batch VM into owned buffers and
+  /// hash_join_rows consumes them like column slices. Plain-column keys
+  /// never arrive here — equi_join_key handles those, AND trees included.
+  /// Declines (nullopt, row-path nested loop) when a side doesn't compile,
+  /// the key types have no kernel, a bind re-types a constant, or a live
+  /// double key lane holds NaN (compare_sql treats NaN as equal to
   /// everything; a hash probe can't reproduce that).
   std::optional<std::vector<Row>> try_expr_key_join(const ScanSource& base,
                                                     const ScanSource& inner,
@@ -2967,85 +2417,71 @@ class SelectExec {
     }
 
     // Outer-side pruning, mirroring the plain-column path.
-    const std::size_t nparts = base.table->partition_count();
+    const PartitionRange outer =
+        partition_range(*base.table, plan.partition, plan.empty);
     if (plan.empty) {
-      db_.count_partitions_pruned(nparts);
+      count_range(outer);
       return std::vector<Row>{};
     }
-    std::size_t outer_first = 0;
-    std::size_t outer_count = nparts;
-    std::size_t pruned = 0;
-    if (plan.partition && nparts > 1) {
-      outer_first = *plan.partition;
-      outer_count = 1;
-      pruned = nparts - 1;
-    }
-    const std::size_t inner_first = inner.partition ? *inner.partition : 0;
-    const std::size_t inner_count =
-        inner.partition ? 1 : inner.table->partition_count();
-
-    std::size_t outer_live = 0;
-    for (std::size_t p = outer_first; p < outer_first + outer_count; ++p) {
-      outer_live += base.table->partition_live_count(p);
-    }
-    std::size_t inner_live = 0;
-    for (std::size_t p = inner_first; p < inner_first + inner_count; ++p) {
-      inner_live += inner.table->partition_live_count(p);
-    }
-    if (outer_live == 0 || inner_live == 0) {
+    const PartitionRange inner_range =
+        partition_range(*inner.table, inner.partition);
+    if (outer.live == 0 || inner_range.live == 0) {
       // The row path's nested loop never evaluates ON over an empty cross
       // product; skip the programs so key-expression errors match.
-      if (pruned > 0) db_.count_partitions_pruned(pruned);
-      db_.count_partition_scans(outer_count);
-      db_.count_columnar_scans(outer_count + inner_count);
+      count_range(outer);
+      db_.count_columnar_scans(outer.count + inner_range.count);
       return std::vector<Row>{};
     }
 
     /// One partition's VM-computed key lanes, owned (the Scratch buffers
-    /// are reused across batches); exposed to the join kernels through a
-    /// manufactured Table::KeySlice below.
+    /// are reused across batches) and exposed as a Table::KeySlice.
     struct KeyLanes {
       std::vector<std::int64_t> ints;
       std::vector<double> reals;
       std::vector<std::string> strs;
       std::vector<std::uint8_t> valid;
-      std::size_t partition = 0;
-      std::size_t lanes = 0;
     };
     // Materializes one side's key lanes with the live bitmap as the demand
     // mask (a dead lane's key is never read — usable() filters by live).
     // False: a live valid double key lane holds NaN, decline the join.
     const auto materialize =
         [this](const Table& table, const sql::ExprProgram& program,
-               const sql::ExprProgram::Bound& bound, std::size_t pfirst,
-               std::size_t pcount, std::vector<KeyLanes>& out) -> bool {
+               const sql::ExprProgram::Bound& bound,
+               const PartitionRange& range, std::vector<KeyLanes>& owned,
+               std::vector<Table::KeySlice>& slices) -> bool {
       const ValueType type = program.result_type();
       sql::ExprProgram::Scratch scratch;
       std::vector<Table::ColumnSlice> columns(table.schema().column_count());
-      out.resize(pcount);
-      for (std::size_t index = 0; index < pcount; ++index) {
-        const std::size_t p = pfirst + index;
+      owned.resize(range.count);
+      slices.resize(range.count);
+      for (std::size_t index = 0; index < range.count; ++index) {
+        const std::size_t p = range.first + index;
         const std::size_t lanes = table.partition_heap_size(p);
-        KeyLanes& dst = out[index];
-        dst.partition = p;
-        dst.lanes = lanes;
+        KeyLanes& dst = owned[index];
+        Table::KeySlice& ks = slices[index];
         dst.valid.resize(lanes);
+        ks.column.size = lanes;
+        ks.column.valid = dst.valid.data();
+        ks.live = table.live_bits(p);
+        ks.partition = p;
         if (type == ValueType::kString) {
           dst.strs.resize(lanes);
+          ks.column.strs = dst.strs.data();
         } else if (type == ValueType::kDouble) {
           dst.reals.resize(lanes);
+          ks.column.reals = dst.reals.data();
         } else {
           dst.ints.resize(lanes);
+          ks.column.ints = dst.ints.data();
         }
         if (lanes == 0) continue;
         for (const std::size_t c : program.used_columns()) {
           columns[c] = table.column_slice(p, c);
         }
-        const std::uint8_t* live = table.live_bits(p);
         for (std::size_t b = 0; b < lanes; b += kVectorBatch) {
           const std::size_t e = std::min(lanes, b + kVectorBatch);
           const auto res =
-              run_program(program, scratch, bound, columns, live, b, e);
+              run_program(program, scratch, bound, columns, ks.live, b, e);
           for (std::size_t i = b; i < e; ++i) {
             dst.valid[i] = res.valid[i - b];
           }
@@ -3054,7 +2490,7 @@ class SelectExec {
           } else if (type == ValueType::kDouble) {
             for (std::size_t i = b; i < e; ++i) {
               dst.reals[i] = res.reals[i - b];
-              if (live[i] && dst.valid[i] && std::isnan(dst.reals[i])) {
+              if (ks.live[i] && dst.valid[i] && std::isnan(dst.reals[i])) {
                 return false;
               }
             }
@@ -3068,111 +2504,31 @@ class SelectExec {
 
     std::vector<KeyLanes> outer_lanes;
     std::vector<KeyLanes> inner_lanes;
-    if (!materialize(*base.table, *outer_prog, outer_bound, outer_first,
-                     outer_count, outer_lanes) ||
-        !materialize(*inner.table, *inner_prog, inner_bound, inner_first,
-                     inner_count, inner_lanes)) {
+    std::vector<Table::KeySlice> outer_slices;
+    std::vector<Table::KeySlice> inner_slices;
+    if (!materialize(*base.table, *outer_prog, outer_bound, outer, outer_lanes,
+                     outer_slices) ||
+        !materialize(*inner.table, *inner_prog, inner_bound, inner_range,
+                     inner_lanes, inner_slices)) {
       return std::nullopt;  // NaN key: the nested loop matches it, we can't
     }
     // Committed to the columnar path — count only now, so a NaN decline
     // leaves the row path's counters untouched.
     if (program_evals > 0) db_.count_expr_program_evals(program_evals);
-    if (pruned > 0) db_.count_partitions_pruned(pruned);
-    db_.count_partition_scans(outer_count);
-    db_.count_columnar_scans(outer_count + inner_count);
-
-    const auto to_key_slices = [](std::vector<KeyLanes>& side, ValueType type,
-                                  const Table& table) {
-      std::vector<Table::KeySlice> slices;
-      slices.reserve(side.size());
-      for (KeyLanes& kl : side) {
-        Table::KeySlice ks;
-        ks.column.size = kl.lanes;
-        ks.column.valid = kl.valid.data();
-        if (type == ValueType::kString) {
-          ks.column.strs = kl.strs.data();
-        } else if (type == ValueType::kDouble) {
-          ks.column.reals = kl.reals.data();
-        } else {
-          ks.column.ints = kl.ints.data();
-        }
-        ks.live = table.live_bits(kl.partition);
-        ks.partition = kl.partition;
-        slices.push_back(ks);
-      }
-      return slices;
-    };
-    const std::vector<Table::KeySlice> outer_slices =
-        to_key_slices(outer_lanes, outer_prog->result_type(), *base.table);
-    const std::vector<Table::KeySlice> inner_slices =
-        to_key_slices(inner_lanes, inner_prog->result_type(), *inner.table);
-
-    // From here the plain-column path repeats verbatim: build from the
-    // smaller side, probe the other, restore row emission order.
-    const bool build_is_outer = outer_live < inner_live;
-    const std::vector<Table::KeySlice>& build =
-        build_is_outer ? outer_slices : inner_slices;
-    const std::vector<Table::KeySlice>& probe =
-        build_is_outer ? inner_slices : outer_slices;
-
-    std::uint64_t probed = 0;
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    switch (*kind) {
-      case JoinKeyKind::kNumeric:
-        pairs = columnar_join_pairs<double>(
-            build, probe, build_is_outer, probed,
-            [](const Table::ColumnSlice& s, std::size_t i) {
-              const double d = s.ints != nullptr
-                                   ? static_cast<double>(s.ints[i])
-                                   : s.reals[i];
-              return d == 0.0 ? 0.0 : d;
-            });
-        break;
-      case JoinKeyKind::kBool:
-      case JoinKeyKind::kDateTime:
-        pairs = columnar_join_pairs<std::int64_t>(
-            build, probe, build_is_outer, probed,
-            [](const Table::ColumnSlice& s, std::size_t i) {
-              return s.ints[i];
-            });
-        break;
-      case JoinKeyKind::kString:
-        pairs = columnar_join_pairs<std::string_view>(
-            build, probe, build_is_outer, probed,
-            [](const Table::ColumnSlice& s, std::size_t i) {
-              return std::string_view(s.strs[i]);
-            });
-        break;
-    }
-    db_.count_hash_join_builds();
-    db_.count_join_lanes_probed(probed);
-
-    if (build_is_outer) std::sort(pairs.begin(), pairs.end());
-
-    std::vector<Row> joined;
-    joined.reserve(pairs.size());
-    for (const auto& [outer_id, inner_id] : pairs) {
-      Row combined = base.table->row(outer_id);
-      const Row& inner_row = inner.table->row(inner_id);
-      combined.insert(combined.end(), inner_row.begin(), inner_row.end());
-      EvalCtx ctx{&combined, params_, nullptr, &subquery_values_, nullptr};
-      if (eval_predicate(*join.on, ctx)) {
-        joined.push_back(std::move(combined));
-      }
-    }
-    return joined;
+    count_range(outer);
+    db_.count_columnar_scans(outer.count + inner_range.count);
+    return hash_join_rows(*kind, base, outer_slices, outer.live, inner,
+                          inner_slices, inner_range.live, join);
   }
 
-  /// Columnar hash equi-join over the base table and the first join: build
-  /// a hash table from the smaller side's key column slice (tombstoned and
-  /// NULL lanes never enter — a NULL key can't satisfy the ON equality),
-  /// probe with the other side's slice, and assemble rows only for
-  /// surviving lane pairs. Emission is outer-scan-major with inner-scan
-  /// order within each outer row — byte-identical to the row hash join.
-  /// Returns nullopt to fall back when either side isn't columnar, the ON
-  /// clause has no equality conjunct on a base column (try_expr_key_join
-  /// then gets a shot at a computed key), the key types have no kernel, or
-  /// an inner index makes the indexed nested loop cheaper.
+  /// Columnar hash equi-join over the base table and the first join: the
+  /// key column slices of both sides (tombstoned and NULL lanes never enter
+  /// — a NULL key can't satisfy the ON equality) feed hash_join_rows
+  /// zero-copy. Returns nullopt to fall back when either side isn't
+  /// columnar, the ON clause has no equality conjunct on a base column
+  /// (try_expr_key_join then gets a shot at a computed key), the key types
+  /// have no kernel, or an inner index makes the indexed nested loop
+  /// cheaper.
   std::optional<std::vector<Row>> try_columnar_hash_join(
       const ScanSource& base, const BaseScanPlan& plan) {
     if (base.table == nullptr || !base.table->columnar()) return std::nullopt;
@@ -3193,99 +2549,28 @@ class SelectExec {
     if (!kind) return std::nullopt;
 
     // Outer-side pruning, mirroring run_heap_scan.
-    const std::size_t nparts = base.table->partition_count();
-    if (plan.empty) {
-      db_.count_partitions_pruned(nparts);
-      return std::vector<Row>{};
-    }
-    std::size_t outer_first = 0;
-    std::size_t outer_count = nparts;
-    if (plan.partition && nparts > 1) {
-      outer_first = *plan.partition;
-      outer_count = 1;
-      db_.count_partitions_pruned(nparts - 1);
-    }
-    const std::size_t inner_count =
-        inner.partition ? 1 : inner.table->partition_count();
-    db_.count_partition_scans(outer_count);
-    db_.count_columnar_scans(outer_count + inner_count);
+    const PartitionRange outer =
+        partition_range(*base.table, plan.partition, plan.empty);
+    count_range(outer);
+    if (plan.empty) return std::vector<Row>{};
+    const PartitionRange inner_range =
+        partition_range(*inner.table, inner.partition);
+    db_.count_columnar_scans(outer.count + inner_range.count);
 
-    std::vector<Table::KeySlice> outer_slices;
-    outer_slices.reserve(outer_count);
-    std::size_t outer_live = 0;
-    for (std::size_t p = outer_first; p < outer_first + outer_count; ++p) {
-      outer_slices.push_back(base.table->key_slice(p, key->first));
-      outer_live += base.table->partition_live_count(p);
-    }
-    std::vector<Table::KeySlice> inner_slices =
-        inner.table->key_slices(key->second, inner.partition);
-    std::size_t inner_live = 0;
-    for (const Table::KeySlice& s : inner_slices) {
-      inner_live += inner.table->partition_live_count(s.partition);
-    }
-
-    // Build from the smaller side; ties build from the inner source (the
-    // row hash join's only choice).
-    const bool build_is_outer = outer_live < inner_live;
-    const std::vector<Table::KeySlice>& build =
-        build_is_outer ? outer_slices : inner_slices;
-    const std::vector<Table::KeySlice>& probe =
-        build_is_outer ? inner_slices : outer_slices;
-
-    std::uint64_t probed = 0;
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    switch (*kind) {
-      case JoinKeyKind::kNumeric:
-        // Ints compare through double (the compare_total class) and ±0.0
-        // collapses so hash equality matches value equality.
-        pairs = columnar_join_pairs<double>(
-            build, probe, build_is_outer, probed,
-            [](const Table::ColumnSlice& s, std::size_t i) {
-              const double d = s.ints != nullptr
-                                   ? static_cast<double>(s.ints[i])
-                                   : s.reals[i];
-              return d == 0.0 ? 0.0 : d;
-            });
-        break;
-      case JoinKeyKind::kBool:
-      case JoinKeyKind::kDateTime:
-        pairs = columnar_join_pairs<std::int64_t>(
-            build, probe, build_is_outer, probed,
-            [](const Table::ColumnSlice& s, std::size_t i) {
-              return s.ints[i];
-            });
-        break;
-      case JoinKeyKind::kString:
-        // Views into the column vectors: stable for this statement's
-        // lifetime (DDL/DML never interleaves with an executing SELECT).
-        pairs = columnar_join_pairs<std::string_view>(
-            build, probe, build_is_outer, probed,
-            [](const Table::ColumnSlice& s, std::size_t i) {
-              return std::string_view(s.strs[i]);
-            });
-        break;
-    }
-    db_.count_hash_join_builds();
-    db_.count_join_lanes_probed(probed);
-
-    // Build-from-inner already emits outer-major (probe order) with
-    // insertion (= inner scan) order per key. Build-from-outer emits
-    // probe-major; row-id numeric order is scan order, so one sort
-    // restores the row path's emission order.
-    if (build_is_outer) std::sort(pairs.begin(), pairs.end());
-
-    std::vector<Row> joined;
-    joined.reserve(pairs.size());
-    for (const auto& [outer_id, inner_id] : pairs) {
-      Row combined = base.table->row(outer_id);
-      const Row& inner_row = inner.table->row(inner_id);
-      combined.insert(combined.end(), inner_row.begin(), inner_row.end());
-      EvalCtx ctx{&combined, params_, nullptr, &subquery_values_, nullptr};
-      if (!join.on || eval_predicate(*join.on, ctx)) {
-        joined.push_back(std::move(combined));
+    const auto key_slices = [](const Table& table, const PartitionRange& range,
+                               std::size_t column) {
+      std::vector<Table::KeySlice> slices;
+      slices.reserve(range.count);
+      for (std::size_t p = range.first; p < range.first + range.count; ++p) {
+        slices.push_back(table.key_slice(p, column));
       }
-    }
-    return joined;
+      return slices;
+    };
+    return hash_join_rows(*kind, base,
+                          key_slices(*base.table, outer, key->first),
+                          outer.live, inner,
+                          key_slices(*inner.table, inner_range, key->second),
+                          inner_range.live, join);
   }
 
   std::vector<Row> scan_and_join() {

@@ -592,6 +592,19 @@ class ProgramBuilder {
       return null_reg();
     }
     if (!comparable_types(a->type, b->type)) return std::nullopt;
+    // `x op constant`: the constant was loaded just now, solely for this
+    // comparison — drop the broadcast and compare against the bound scalar.
+    const Instr& last = prog_.instrs_.back();
+    if (last.op == Op::kLoadConst && last.dest == b->reg) {
+      const std::uint32_t slot = last.payload;
+      prog_.instrs_.pop_back();
+      const auto res = emit_unary(Op::kCmpConst, *a, ValueType::kBool);
+      if (res) {
+        prog_.instrs_.back().cmp = e.bin_op;
+        prog_.instrs_.back().payload = slot;
+      }
+      return res;
+    }
     const auto res = emit_binary(Op::kCmp, *a, *b, ValueType::kBool);
     if (res) prog_.instrs_.back().cmp = e.bin_op;
     return res;
@@ -739,6 +752,68 @@ inline int lane_cmp(const ExprProgram::Scratch::View& a, ValueType at,
     }
     default:
       return 0;
+  }
+}
+
+/// kCmpConst's lane loop. Everything arrives by value: the byte stores into
+/// `dv` may alias any object in memory, so nothing the loop reads may live
+/// behind a reference. `sign(l)` is lane l's three-way compare_sql result;
+/// invalid lanes compare whatever their payload holds and the validity AND
+/// discards the result.
+template <typename Sign>
+void cmp_const_loop(std::size_t n, const std::uint8_t* valid, BinOp op,
+                    Sign sign, std::int64_t* di, std::uint8_t* dv) {
+  for (std::size_t l = 0; l < n; ++l) {
+    const std::uint8_t v = valid[l];
+    di[l] = static_cast<std::int64_t>(v != 0) &
+            static_cast<std::int64_t>(comparison_keeps(op, sign(l)));
+    dv[l] = v;
+  }
+}
+
+template <typename T>
+int three_way(T x, T y) noexcept {
+  return static_cast<int>(x > y) - static_cast<int>(x < y);
+}
+
+/// kCmpConst: lanes of `a` against one bound constant `c` (the literal,
+/// parameter or scalar subquery of a `column op constant` filter), read as a
+/// scalar instead of a broadcast register. A NULL constant compares unknown
+/// on every lane.
+void cmp_const_lanes(const ExprProgram::Scratch::View& a, ValueType at,
+                     const Value& c, BinOp op, std::size_t n,
+                     std::int64_t* di, std::uint8_t* dv) {
+  if (c.is_null()) {
+    std::fill_n(di, n, std::int64_t{0});
+    std::fill_n(dv, n, std::uint8_t{0});
+    return;
+  }
+  const auto cmp = [&](auto sign) {
+    cmp_const_loop(n, a.valid, op, sign, di, dv);
+  };
+  const std::int64_t* ai = a.i;
+  switch (at) {
+    case ValueType::kInt:
+    case ValueType::kDouble: {
+      const bool a_real = at == ValueType::kDouble;
+      return cmp([=, ad = a.d, y = c.as_double()](std::size_t l) {
+        return three_way(a_real ? ad[l] : static_cast<double>(ai[l]), y);
+      });
+    }
+    case ValueType::kBool:
+      return cmp([=, y = c.as_bool()](std::size_t l) {
+        return three_way(ai[l] != 0, y);
+      });
+    case ValueType::kDateTime:
+      return cmp([=, y = c.as_datetime()](std::size_t l) {
+        return three_way(ai[l], y);
+      });
+    case ValueType::kString:
+      return cmp([as = a.s, y = &c.as_string()](std::size_t l) {
+        return three_way(as[l].compare(*y), 0);
+      });
+    default:
+      return cmp([](std::size_t) { return 0; });
   }
 }
 
@@ -998,6 +1073,10 @@ ExprProgram::Result ExprProgram::run(Scratch& scratch, const Bound& bound,
         }
         break;
       }
+      case Op::kCmpConst:
+        cmp_const_lanes(a, ins.at, bound[ins.payload], ins.cmp, n,
+                        own_i(ins.dest), own_v(ins.dest));
+        break;
       case Op::kAnd: {
         std::int64_t* di = own_i(ins.dest);
         std::uint8_t* dv = own_v(ins.dest);

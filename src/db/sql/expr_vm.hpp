@@ -71,6 +71,7 @@ class ExprProgram {
     kAddD, kSubD, kMulD, kDivD, kModD,   // double arithmetic; kDivD/kModD throw
     kConcat,           // dest = a + b         (string lanes)
     kCmp,              // dest = compare_sql(a, b) under `cmp` (bool lanes)
+    kCmpConst,         // dest = compare_sql(a, constants[payload]) under `cmp`
     kAnd, kOr,         // three-valued logic over bool lanes
     kIsNull,           // dest = a IS [NOT] NULL        (flag = negated)
     kLike,             // dest = a LIKE b               (flag = negated)

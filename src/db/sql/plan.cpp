@@ -26,48 +26,22 @@ bool remap_program(std::shared_ptr<const ExprProgram>& program,
   return program != nullptr;
 }
 
-bool remap_conjuncts(std::vector<FusedScanPlan::Conjunct>& conjuncts,
-                     const ExprRemap& map) {
-  bool ok = true;
-  for (auto& c : conjuncts) c.constant = translate(c.constant, map, ok);
-  return ok;
-}
-
-bool remap_aggregates(std::vector<FusedScanPlan::Aggregate>& aggregates,
-                      const ExprRemap& map) {
-  bool ok = true;
-  for (auto& a : aggregates) {
-    a.expr = translate(a.expr, map, ok);
-    if (!remap_program(a.program, map)) return false;
-  }
-  return ok;
-}
-
 }  // namespace
 
-std::shared_ptr<const FusedScanPlan> remap_onto(const FusedScanPlan& plan,
-                                                const ExprRemap& map) {
-  auto out = std::make_shared<FusedScanPlan>(plan);
-  if (!remap_conjuncts(out->conjuncts, map)) return nullptr;
-  if (!remap_program(out->where_program, map)) return nullptr;
-  if (!remap_aggregates(out->aggregates, map)) return nullptr;
-  return out;
-}
-
-std::shared_ptr<const FusedGroupPlan> remap_onto(const FusedGroupPlan& plan,
-                                                 const ExprRemap& map) {
-  auto out = std::make_shared<FusedGroupPlan>(plan);
-  if (!remap_conjuncts(out->conjuncts, map)) return nullptr;
+std::shared_ptr<const FusedPlan> remap_onto(const FusedPlan& plan,
+                                            const ExprRemap& map) {
+  auto out = std::make_shared<FusedPlan>(plan);
   if (!remap_program(out->where_program, map)) return nullptr;
   for (auto& key : out->group_keys) {
     if (!remap_program(key.program, map)) return nullptr;
   }
   bool ok = true;
-  for (auto& [node, index] : out->key_refs) {
-    node = translate(node, map, ok);
+  for (auto& [node, index] : out->key_refs) node = translate(node, map, ok);
+  for (auto& a : out->aggregates) {
+    a.expr = translate(a.expr, map, ok);
+    if (!remap_program(a.program, map)) return nullptr;
   }
   if (!ok) return nullptr;
-  if (!remap_aggregates(out->aggregates, map)) return nullptr;
   return out;
 }
 

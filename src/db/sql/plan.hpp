@@ -15,37 +15,40 @@
 namespace kojak::db::sql {
 
 /// Hot-plan annotation behind `SelectStmt::fused_plan`: the structural
-/// analysis of the dominant whole-condition shape — a single-table global
-/// aggregate with an AND-of-simple-conjuncts filter (the per-partition
-/// `part<K>` CTE body the partition-union rewrite emits). Built once per
-/// statement by the executor, reused by every later execution of the same
-/// statement (prepared statements, plan-cache hits, monitor re-evaluation);
-/// everything value-dependent — partition pruning, parameter and subquery
-/// constants, (column, constant) type compatibility — is re-derived per
-/// execution. Expression pointers reference the owning statement's AST, so
-/// the annotation must never outlive or migrate off its statement —
+/// analysis of an aggregate statement over one columnar base table, the
+/// input of the executor's one columnar evaluator. A global aggregate is a
+/// GROUP BY with zero keys (the per-partition `part<K>` CTE body the
+/// partition-union rewrite emits is the dominant such shape). Built once
+/// per statement by the executor, reused by every later execution of the
+/// same statement (prepared statements, plan-cache hits, monitor
+/// re-evaluation); everything value-dependent — partition pruning,
+/// parameter and subquery constants — is re-bound per execution.
+/// Expression pointers reference the owning statement's AST, so the
+/// annotation must never outlive or migrate off its statement —
 /// `SelectStmt::clone()` carries it by remapping every pointer onto the
 /// cloned expression tree (see remap_onto below).
-struct FusedScanPlan {
+struct FusedPlan {
   std::string table;                    // base table the statement scans
   std::vector<ValueType> column_types;  // schema snapshot, validated on reuse
 
-  /// One WHERE conjunct: `column op constant` (constant = literal, param,
-  /// or scalar subquery) or `column IS [NOT] NULL`.
-  struct Conjunct {
-    std::size_t column = 0;
-    BinOp op = BinOp::kEq;           // comparison ops only
-    const Expr* constant = nullptr;  // null for IS [NOT] NULL tests
-    bool is_null_test = false;
-    bool negated = false;  // IS NOT NULL
-  };
-  std::vector<Conjunct> conjuncts;
-
-  /// Whole-WHERE bytecode program, used when the filter is not an
-  /// AND-of-simple-conjuncts (`conjuncts` and `where_program` are mutually
-  /// exclusive): its boolean output lanes AND into the selection bitmap
-  /// with NULL-as-false semantics.
+  /// Whole-WHERE bytecode program (null without a WHERE clause): its
+  /// boolean output lanes AND into the selection bitmap with NULL-as-false
+  /// semantics.
   std::shared_ptr<const ExprProgram> where_program;
+
+  /// One GROUP BY key: a base-relative column index (program == nullptr)
+  /// or a compiled key program. Empty for a global aggregate.
+  struct GroupKey {
+    std::size_t column = static_cast<std::size_t>(-1);  // SIZE_MAX => program
+    std::shared_ptr<const ExprProgram> program;
+  };
+  std::vector<GroupKey> group_keys;  // GROUP BY order
+
+  /// Output-side nodes (in items / HAVING / ORDER BY) structurally equal to
+  /// a *program* group key: evaluated as that key's per-group value via
+  /// EvalCtx pinning instead of from the representative row. Plain-column
+  /// keys need no pinning — the representative row already carries them.
+  std::vector<std::pair<const Expr*, std::size_t>> key_refs;
 
   /// One aggregate call: over a plain base column (program == nullptr;
   /// column == SIZE_MAX for COUNT(*)) or over an arbitrary compiled value
@@ -60,39 +63,11 @@ struct FusedScanPlan {
   std::vector<Aggregate> aggregates;
 };
 
-/// Hot-plan annotation behind `SelectStmt::fused_group_plan`: the grouped
-/// sibling of FusedScanPlan for `GROUP BY <scalar exprs>` over one columnar
-/// table. Same lifecycle and reuse contract; group keys are base-relative
-/// column indices (program == nullptr) or compiled key programs, in
-/// GROUP BY order.
-struct FusedGroupPlan {
-  std::string table;
-  std::vector<ValueType> column_types;  // schema snapshot, validated on reuse
-  std::vector<FusedScanPlan::Conjunct> conjuncts;
-  std::shared_ptr<const ExprProgram> where_program;
-
-  struct GroupKey {
-    std::size_t column = static_cast<std::size_t>(-1);  // SIZE_MAX => program
-    std::shared_ptr<const ExprProgram> program;
-  };
-  std::vector<GroupKey> group_keys;  // GROUP BY order
-
-  /// Output-side nodes (in items / HAVING / ORDER BY) structurally equal to
-  /// a *program* group key: evaluated as that key's per-group value via
-  /// EvalCtx pinning instead of from the representative row. Plain-column
-  /// keys need no pinning — the representative row already carries them.
-  std::vector<std::pair<const Expr*, std::size_t>> key_refs;
-
-  std::vector<FusedScanPlan::Aggregate> aggregates;
-};
-
 /// Re-targets a plan's expression pointers through `map`. Returns nullptr if
 /// any pointer is missing from the map — a carried plan must never dangle, so
 /// an incomplete map silently degrades to "re-analyze on first execution".
-[[nodiscard]] std::shared_ptr<const FusedScanPlan> remap_onto(
-    const FusedScanPlan& plan, const ExprRemap& map);
-[[nodiscard]] std::shared_ptr<const FusedGroupPlan> remap_onto(
-    const FusedGroupPlan& plan, const ExprRemap& map);
+[[nodiscard]] std::shared_ptr<const FusedPlan> remap_onto(
+    const FusedPlan& plan, const ExprRemap& map);
 
 }  // namespace kojak::db::sql
 

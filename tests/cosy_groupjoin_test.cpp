@@ -115,7 +115,9 @@ std::string render_rows(const db::QueryResult& result) {
 /// grouped results, NULL group keys, multi-column keys, a WHERE shape the
 /// kernels reject (fallback must agree too), integer- and string-keyed
 /// equi-joins (row-stream identity without ORDER BY), an ON clause with an
-/// extra conjunct, and aggregation over a join.
+/// extra conjunct, aggregation over a join, and global (zero-key)
+/// aggregates: over an empty selection (one row of 0 and NULLs), behind a
+/// string-literal plus null-test filter, and behind a range filter.
 std::vector<std::string> groupjoin_statements() {
   return {
       "SELECT owner, COUNT(*), SUM(t), AVG(t), MIN(t), MAX(t) FROM j "
@@ -132,6 +134,9 @@ std::vector<std::string> groupjoin_statements() {
       "SELECT owner, t, region FROM j JOIN c "
       "ON j.member = c.id AND c.region > 0",
       "SELECT COUNT(*), SUM(t) FROM j JOIN c ON j.member = c.id",
+      "SELECT COUNT(*), SUM(t), MIN(tag), MAX(t) FROM j WHERE t > 1000.0",
+      "SELECT COUNT(t), AVG(t) FROM j WHERE tag = 'g3' AND t IS NOT NULL",
+      "SELECT COUNT(*), SUM(owner) FROM j WHERE member >= 100 AND member < 300",
   };
 }
 

@@ -850,6 +850,37 @@ TEST(Columnar, GroupedVectorizedCountersPinned) {
   EXPECT_EQ(ra.groups_built - rb.groups_built, 0u);
 }
 
+TEST(Columnar, GlobalAggregateEdgeCasesOnBothLayouts) {
+  // A global aggregate is GROUP BY with zero keys: HAVING can still drop
+  // its one group, and a NULL-bound comparison selects nothing.
+  Database columnar = make_columnar_db(4, 50);
+  Database row = make_partitioned_db(4, 50);
+  const std::pair<Database*, const char*> layouts[] = {{&columnar, "ct"},
+                                                       {&row, "pt"}};
+  for (const auto& [db, table] : layouts) {
+    const auto before = db->exec_stats();
+    EXPECT_EQ(db->execute(kojak::support::cat("SELECT COUNT(*), SUM(v) FROM ",
+                                              table,
+                                              " WHERE v > 1000 "
+                                              "HAVING COUNT(*) > 0"))
+                  .row_count(),
+              0u)
+        << table;
+    const auto after = db->exec_stats();
+    // Only the columnar twin runs the columnar evaluator.
+    EXPECT_EQ(after.columnar_scans - before.columnar_scans,
+              db == &columnar ? 4u : 0u)
+        << table;
+    kdb::PreparedStatement stmt = db->prepare(
+        kojak::support::cat("SELECT COUNT(*) FROM ", table, " WHERE v >= ?"));
+    EXPECT_EQ(db->execute(stmt, std::vector<Value>{Value::null()})
+                  .scalar()
+                  .as_int(),
+              0)
+        << table;
+  }
+}
+
 TEST(Columnar, FusedPlanSurvivesClone) {
   Database db = make_columnar_db(4, 50);
 
