@@ -304,9 +304,15 @@ const EvalBackend::Registration& find_registration(std::string_view name) {
 
 std::unique_ptr<EvalBackend> EvalBackend::create(std::string_view name,
                                                  const EvalBackendDeps& deps) {
-  Registry& r = registry();
-  std::lock_guard lock(r.mutex);
-  const Registration& reg = find_registration(name);
+  // The factory runs on a copy, outside the registry lock: a factory that
+  // itself calls create() (a wrapping backend building its inner one) would
+  // otherwise re-lock the non-recursive mutex and deadlock.
+  Registration reg;
+  {
+    Registry& r = registry();
+    std::lock_guard lock(r.mutex);
+    reg = find_registration(name);
+  }
   if (deps.model == nullptr) {
     throw EvalError(support::cat("backend '", name, "' needs a model"));
   }

@@ -32,8 +32,13 @@ class PreparedStatement {
 };
 
 /// The embedded relational engine: a catalog of tables plus a SQL executor.
-/// Not thread-safe for concurrent mutation; concurrent read-only SELECTs of
-/// *distinct* prepared statements are safe after a warm-up bind.
+/// Not thread-safe for concurrent mutation. Concurrent read-only SELECTs are
+/// safe on *distinct* statements only: every execution may write the
+/// statement's own caches — each SELECT node's resolution (rebuilt on the
+/// first execution, after DDL, or when a name resolves differently), its
+/// subquery memo key and its fused-plan annotation — so one statement must
+/// not run on two threads at once, even read-only. Parallel CTE waves obey
+/// this: each body is its own node, run by one task.
 class Database {
  public:
   Table& create_table(TableSchema schema);
@@ -69,6 +74,14 @@ class Database {
   /// it. Compiled-plan caches key on this so a plan compiled against one
   /// layout is never replayed against another.
   [[nodiscard]] std::uint64_t layout_fingerprint() const;
+  /// Catalog identity: renewed by every CREATE TABLE and DROP TABLE, and
+  /// drawn from one process-wide counter, so no two databases — and no two
+  /// catalog states of one database — share a value. The executor stamps
+  /// each statement's cached resolution with it: a table handle cached under
+  /// one generation is valid exactly while the generation stands.
+  [[nodiscard]] std::uint64_t catalog_generation() const noexcept {
+    return catalog_generation_;
+  }
 
   /// Parses and executes a script of `;`-separated statements, returning the
   /// result of the last one.
@@ -228,13 +241,15 @@ class Database {
   ExecStats exec_stats_;
   ScanConfig scan_config_;
 
+  /// Transparent, so find_table(string_view) probes without building a key.
   struct CaseInsensitiveLess {
-    bool operator()(const std::string& a, const std::string& b) const;
+    using is_transparent = void;
+    bool operator()(std::string_view a, std::string_view b) const noexcept;
   };
   std::map<std::string, std::unique_ptr<Table>, CaseInsensitiveLess> tables_;
 
   /// Fingerprint memo: the catalog only changes through create/drop (which
-  /// bump the generation, under the single-writer contract), so
+  /// renew the generation, under the single-writer contract), so
   /// layout_fingerprint() — called per evaluation by the plan-cache keying —
   /// re-hashes the catalog only after DDL. Atomics because concurrent
   /// read-only sessions may consult the fingerprint simultaneously; the
@@ -254,7 +269,8 @@ class Database {
       return *this;
     }
   };
-  std::uint64_t catalog_generation_ = 0;
+  static std::uint64_t next_catalog_generation() noexcept;
+  std::uint64_t catalog_generation_ = next_catalog_generation();
   mutable LayoutMemo layout_memo_;
 
   /// The snapshot/write-gate lock. unique_ptr keeps Database movable (a

@@ -74,10 +74,11 @@ void pool_for_each(std::size_t workers, std::size_t n, const Body& body) {
 /// Materialized WITH entries visible to a statement, chained so subqueries
 /// see the enclosing statement's CTEs. `entries` grows as the WITH clause
 /// materializes left to right, which gives each CTE body exactly the
-/// earlier siblings the parser validated against.
+/// earlier siblings the parser validated against. Names view the statement's
+/// own CTE names (or the caller's injected names), which outlive the scope.
 struct CteScope {
   const CteScope* parent = nullptr;
-  std::vector<std::pair<std::string, const QueryResult*>> entries;
+  std::vector<std::pair<std::string_view, const QueryResult*>> entries;
 
   [[nodiscard]] const QueryResult* find(std::string_view name) const {
     for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
@@ -94,6 +95,21 @@ struct CteScope {
   }
 };
 
+/// Memo keys view each subquery's cached structural key (SelectStmt::
+/// memo_key), which outlives the top-level execution, so a lookup allocates
+/// nothing.
+struct MemoKey {
+  std::size_t visible = 0;  // CteScope::visible_count() at execution
+  std::string_view shape;   // the subquery's structural key
+  bool operator==(const MemoKey&) const = default;
+};
+struct MemoKeyHash {
+  std::size_t operator()(const MemoKey& key) const noexcept {
+    return std::hash<std::string_view>{}(key.shape) ^
+           (key.visible * 0x9e3779b97f4a7c15ULL);
+  }
+};
+
 /// Per-top-level-statement execution state shared by every nested
 /// execution: the uncorrelated-subquery memo. Structurally identical scalar
 /// subqueries execute once per statement execution; later occurrences are
@@ -104,7 +120,7 @@ struct CteScope {
 /// serial — submitting to the pool and blocking from inside a pool task is
 /// how a fixed-size pool deadlocks on itself.
 struct ExecEnv {
-  std::unordered_map<std::string, Value> subquery_memo;
+  std::unordered_map<MemoKey, Value, MemoKeyHash> subquery_memo;
   bool on_pool = false;
 };
 
@@ -118,7 +134,7 @@ struct ScanSource {
   /// Validated `PARTITION (k)` selector: scans and probes of this source
   /// touch only partition k.
   std::optional<std::size_t> partition;
-  std::string qualifier;
+  std::string_view qualifier;  // views the TableRef; read at bind time only
   std::size_t base_slot = 0;
 
   [[nodiscard]] std::size_t column_count() const {
@@ -201,6 +217,7 @@ class Binder {
       case Expr::Kind::kAliasRef:
         return;
       case Expr::Kind::kParam:
+        params_needed_ = std::max(params_needed_, e.param_index + 1);
         if (e.param_index >= params_.size()) {
           throw EvalError(support::cat("statement needs parameter #",
                                        e.param_index + 1, " but only ",
@@ -262,6 +279,12 @@ class Binder {
     }
   }
 
+  /// Highest `?` index + 1 among the expressions bound so far (scalar
+  /// subqueries bind separately and do not count).
+  [[nodiscard]] std::size_t params_needed() const noexcept {
+    return params_needed_;
+  }
+
   [[nodiscard]] static bool is_aggregate_name(std::string_view name) {
     return name == "COUNT" || name == "SUM" || name == "AVG" || name == "MIN" ||
            name == "MAX" || name == "STDDEV" || name == "VARIANCE";
@@ -316,7 +339,44 @@ class Binder {
 
   Database& db_;
   std::span<const Value> params_;
+  std::size_t params_needed_ = 0;
 };
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Resolution caches (the opaque SelectStmt annotations declared in ast.hpp),
+// valid while Database::catalog_generation() stands — it is process-unique,
+// so it also names the database.
+
+namespace sql {
+
+/// One SELECT node's resolution: its sources (table handle plus PARTITION
+/// selector, or CTE) with their slot bases, after star expansion, and the
+/// parameters its own expressions need; the tree keeps the resolved slots.
+/// CTE results are per execution: `derived` and the bind-time `qualifier`
+/// stay empty here, and `derived_columns` records the columns the slots
+/// were resolved against (empty for catalog sources).
+struct SelectResolution {
+  std::uint64_t catalog = 0;
+  std::vector<ScanSource> sources;
+  std::vector<std::vector<std::string>> derived_columns;
+  std::size_t params_needed = 0;
+};
+
+/// A WITH clause's materialization schedule: the earlier entries each body
+/// references, and the catalog table each body's FROM scans (null when
+/// FROM-less, unknown, or naming an earlier entry) for the parallel-dispatch
+/// estimate.
+struct CteSchedule {
+  std::uint64_t catalog = 0;
+  std::vector<std::vector<std::size_t>> deps;
+  std::vector<const Table*> scan_tables;
+};
+
+}  // namespace sql
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Expression evaluation
@@ -1049,11 +1109,7 @@ class SelectExec {
     if (env_ == nullptr) env_ = &local_env;
 
     if (!stmt_.ctes.empty()) materialize_ctes();
-
-    Binder binder(db_, params_);
-    sources_ = binder.bind_sources(stmt_, &scope_);
-    expand_stars();
-    bind_all(binder);
+    resolve();
     materialize_subqueries();
 
     QueryResult result;
@@ -1149,9 +1205,7 @@ class SelectExec {
       scope_.entries.emplace_back(cte.name, &kEmptyDerived);
     }
     Binder binder(db_, params_);
-    sources_ = binder.bind_sources(stmt_, &scope_);
-    expand_stars();
-    bind_all(binder);
+    bind_fresh(binder);
     if (!needs_aggregation()) return "row path (no aggregation)";
     if (sources_.size() != 1 || sources_[0].table == nullptr ||
         !sources_[0].table->columnar()) {
@@ -1167,35 +1221,109 @@ class SelectExec {
   }
 
  private:
-  /// Declaration indices of earlier CTEs the `index`-th body references
-  /// (FROM, JOINs, and subqueries, recursively). The parser already rejects
-  /// self and forward references, so dependencies only point backwards.
-  [[nodiscard]] std::vector<std::size_t> cte_dependencies(
-      std::size_t index) const {
-    std::vector<std::size_t> deps;
-    sql::for_each_table_ref(
-        *stmt_.ctes[index].select, [&](const sql::TableRef& ref) {
-          for (std::size_t j = 0; j < index; ++j) {
-            if (support::iequals(ref.table, stmt_.ctes[j].name)) {
-              deps.push_back(j);
-              return;
-            }
-          }
-        });
-    return deps;
+  /// Resolves this node's sources and binds its expressions, or reuses the
+  /// resolution cached on the node: under the same catalog generation, with
+  /// enough parameters, and with every FROM/JOIN name resolving as it did —
+  /// to the catalog, or to a CTE result with the same columns. The tree
+  /// already holds the slots a bind would write, so reuse only points the
+  /// CTE sources at this execution's results. Anything else binds from
+  /// scratch; too few parameters thereby raise the usual diagnostic.
+  void resolve() {
+    if (const sql::SelectResolution* cached = stmt_.resolution.get();
+        cached != nullptr && reuse(*cached)) {
+      db_.count_select_bind_reuses();
+      return;
+    }
+    db_.count_select_binds();
+    Binder binder(db_, params_);
+    bind_fresh(binder);
+    auto resolution = std::make_shared<sql::SelectResolution>();
+    resolution->catalog = db_.catalog_generation();
+    resolution->sources = sources_;
+    for (ScanSource& source : resolution->sources) {
+      resolution->derived_columns.push_back(
+          source.derived == nullptr ? std::vector<std::string>{}
+                                    : source.derived->columns);
+      source.derived = nullptr;
+      source.qualifier = {};  // views the tree, which may move between runs
+    }
+    resolution->params_needed = binder.params_needed();
+    stmt_.resolution = std::move(resolution);
+  }
+
+  /// Fills sources_ from `cached` when it still describes this execution.
+  [[nodiscard]] bool reuse(const sql::SelectResolution& cached) {
+    if (cached.catalog != db_.catalog_generation() ||
+        params_.size() < cached.params_needed) {
+      return false;
+    }
+    std::vector<ScanSource> sources = cached.sources;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const sql::TableRef& ref =
+          i == 0 ? *stmt_.from : stmt_.joins[i - 1].table;
+      const QueryResult* derived = scope_.find(ref.table);
+      const bool was_cte = sources[i].table == nullptr;
+      if ((derived != nullptr) != was_cte ||
+          (was_cte && derived->columns != cached.derived_columns[i])) {
+        return false;
+      }
+      sources[i].derived = derived;
+    }
+    sources_ = std::move(sources);
+    return true;
+  }
+
+  /// The WITH clause's schedule, derived once per catalog generation: each
+  /// body's references to earlier entries (FROM, JOINs, and subqueries,
+  /// recursively — the parser already rejects self and forward references,
+  /// so dependencies only point backwards), and the catalog table its FROM
+  /// scans.
+  const sql::CteSchedule& cte_schedule() {
+    const sql::CteSchedule* cached = stmt_.cte_schedule.get();
+    if (cached != nullptr && cached->catalog == db_.catalog_generation()) {
+      return *cached;
+    }
+    const std::size_t n = stmt_.ctes.size();
+    auto schedule = std::make_shared<sql::CteSchedule>();
+    schedule->catalog = db_.catalog_generation();
+    schedule->deps.resize(n);
+    schedule->scan_tables.resize(n, nullptr);
+    const auto earlier = [&](std::size_t index, std::string_view name) {
+      for (std::size_t j = 0; j < index; ++j) {
+        if (support::iequals(name, stmt_.ctes[j].name)) return j;
+      }
+      return index;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const sql::SelectStmt& body = *stmt_.ctes[i].select;
+      sql::for_each_table_ref(body, [&](const sql::TableRef& ref) {
+        const std::size_t j = earlier(i, ref.table);
+        if (j < i) schedule->deps[i].push_back(j);
+      });
+      if (body.from && earlier(i, body.from->table) == i) {
+        schedule->scan_tables[i] = db_.find_table(body.from->table);
+      }
+    }
+    stmt_.cte_schedule = schedule;
+    return *schedule;
   }
 
   /// Live rows the `index`-th CTE's base scan would touch (0 when the body
   /// is FROM-less or reads a derived source) — the dispatch-threshold
   /// estimate for parallel materialization.
-  [[nodiscard]] std::size_t cte_scan_estimate(std::size_t index) const {
-    const sql::SelectStmt& body = *stmt_.ctes[index].select;
-    if (!body.from) return 0;
-    if (scope_.find(body.from->table) != nullptr) return 0;  // derived
-    const Table* table = db_.find_table(body.from->table);
-    if (table == nullptr) return 0;  // surfaces as a bind error later
-    if (body.from->partition && *body.from->partition < table->partition_count()) {
-      return table->partition_live_count(*body.from->partition);
+  [[nodiscard]] std::size_t cte_scan_estimate(const sql::CteSchedule& schedule,
+                                              std::size_t index) const {
+    const Table* table = schedule.scan_tables[index];
+    if (table == nullptr) return 0;  // unknown tables surface at bind
+    const sql::TableRef& from = *stmt_.ctes[index].select->from;
+    // An enclosing statement's CTE shadows the catalog table.
+    if (scope_.parent != nullptr &&
+        scope_.parent->find(from.table) != nullptr) {
+      return 0;
+    }
+    const auto& partition = from.partition;
+    if (partition && *partition < table->partition_count()) {
+      return table->partition_live_count(*partition);
     }
     return table->live_row_count();
   }
@@ -1212,8 +1340,8 @@ class SelectExec {
   void materialize_ctes() {
     const std::size_t n = stmt_.ctes.size();
     cte_results_.resize(n);
-    std::vector<std::vector<std::size_t>> deps(n);
-    for (std::size_t i = 0; i < n; ++i) deps[i] = cte_dependencies(i);
+    const sql::CteSchedule& schedule = cte_schedule();
+    const auto& deps = schedule.deps;
 
     const Database::ScanConfig& config = db_.scan_config();
     const std::size_t workers =
@@ -1246,7 +1374,9 @@ class SelectExec {
       // guaranteed: at least the lowest unfinished index is ready.
 
       std::size_t estimate = 0;
-      for (const std::size_t i : wave) estimate += cte_scan_estimate(i);
+      for (const std::size_t i : wave) {
+        estimate += cte_scan_estimate(schedule, i);
+      }
       const bool parallel = wave.size() >= 2 && workers >= 2 &&
                             !env_->on_pool &&
                             estimate >= config.min_parallel_rows;
@@ -1289,6 +1419,13 @@ class SelectExec {
     }
   }
 
+  /// Resolves the sources, expands stars and binds every expression.
+  void bind_fresh(Binder& binder) {
+    sources_ = binder.bind_sources(stmt_, &scope_);
+    expand_stars();
+    bind_all(binder);
+  }
+
   void expand_stars() {
     std::vector<sql::SelectItem> expanded;
     for (auto& item : stmt_.items) {
@@ -1307,7 +1444,7 @@ class SelectExec {
           sql::SelectItem col;
           col.expr = std::make_unique<Expr>();
           col.expr->kind = Expr::Kind::kColumnRef;
-          col.expr->table = s.qualifier;
+          col.expr->table = std::string(s.qualifier);
           col.expr->column = s.column_name(c);
           expanded.push_back(std::move(col));
         }
@@ -1372,39 +1509,25 @@ class SelectExec {
 
   void materialize_one(const Expr& e) {
     if (e.kind == Expr::Kind::kSubquery) {
-      // Memo key: structural rendering plus the number of CTE entries
-      // visible right now — a name can resolve to a table before a
-      // shadowing CTE materializes and to the CTE afterwards, and the
-      // count tells those two moments apart.
-      std::string key = support::cat(scope_.visible_count(), ':');
-      subquery_key(*e.subquery, key);
+      // Memo key: the node's structural rendering (cached on first use,
+      // before its execution can expand stars or rewrite ordinals) plus the
+      // number of CTE entries visible right now — a name can resolve to a
+      // table before a shadowing CTE materializes and to the CTE afterwards,
+      // and the count tells those two moments apart.
+      sql::SelectStmt& sub = *e.subquery;
+      if (sub.memo_key.empty()) subquery_key(sub, sub.memo_key);
+      const MemoKey key{scope_.visible_count(), sub.memo_key};
       const auto hit = env_->subquery_memo.find(key);
       if (hit != env_->subquery_memo.end()) {
         db_.count_subquery_memo_hits();
         subquery_values_[&e] = hit->second;
         return;
       }
-      // Execute a clone so the original statement stays reusable; the memo
-      // makes this a once-per-distinct-shape cost instead of once per
-      // occurrence.
-      sql::ExprRemap remap;
-      std::unique_ptr<sql::SelectStmt> sub = e.subquery->clone(&remap);
-      SelectExec exec(db_, *sub, params_, &scope_, env_);
-      QueryResult sub_result = exec.run();
+      // Runs in place, like a top-level statement: the node's resolution
+      // and plan annotations stay cached on it for the next execution.
+      QueryResult sub_result =
+          SelectExec(db_, sub, params_, &scope_, env_).run();
       db_.count_subquery_executions();
-      // Back-propagate plan verdicts the clone's execution produced onto
-      // the original subquery (mutable annotation members), so the next
-      // execution of the enclosing prepared statement clones a
-      // pre-analyzed tree instead of re-deriving the verdict.
-      if (sub->fused_rejected && !e.subquery->fused_rejected) {
-        e.subquery->fused_rejected = true;
-      }
-      if (sub->fused_plan && !e.subquery->fused_plan) {
-        sql::ExprRemap inverse;
-        inverse.reserve(remap.size());
-        for (const auto& [original, copy] : remap) inverse[copy] = original;
-        e.subquery->fused_plan = sql::remap_onto(*sub->fused_plan, inverse);
-      }
       if (sub_result.column_count() != 1) {
         throw EvalError("scalar subquery must produce one column");
       }
@@ -1412,7 +1535,7 @@ class SelectExec {
         throw EvalError("scalar subquery produced more than one row");
       }
       const Value scalar = sub_result.scalar();
-      env_->subquery_memo.emplace(std::move(key), scalar);
+      env_->subquery_memo.emplace(key, scalar);
       subquery_values_[&e] = scalar;
       return;
     }
@@ -1781,7 +1904,7 @@ class SelectExec {
     if (!table.columnar()) return nullptr;
 
     auto plan = std::make_shared<sql::FusedPlan>();
-    plan->table = table.schema().name();
+    plan->catalog_generation = db_.catalog_generation();
     plan->column_types = column_type_snapshot(table);
 
     std::vector<std::string> key_strs;  // "" for plain-column keys
@@ -1842,9 +1965,13 @@ class SelectExec {
     if (base.table == nullptr) return std::nullopt;
     const Table& table = *base.table;
 
+    // A plan analyzed under another catalog generation may describe a
+    // table since dropped and re-created with another column order:
+    // analyze afresh.
     const sql::FusedPlan* plan = stmt_.fused_plan.get();
-    const bool reused = plan != nullptr;
-    if (plan == nullptr) {
+    const bool reused =
+        plan != nullptr && plan->catalog_generation == db_.catalog_generation();
+    if (!reused) {
       auto built = analyze_aggregate(base);
       if (built == nullptr) {
         stmt_.fused_rejected = true;
@@ -1852,20 +1979,6 @@ class SelectExec {
       }
       stmt_.fused_plan = std::move(built);
       plan = stmt_.fused_plan.get();
-    } else {
-      // Validate the cached annotation against this execution's catalog:
-      // the table may have been dropped and re-created with another layout
-      // since the plan was built.
-      if (!support::iequals(table.schema().name(), plan->table) ||
-          !table.columnar() ||
-          table.schema().column_count() != plan->column_types.size()) {
-        return std::nullopt;
-      }
-      for (std::size_t i = 0; i < plan->column_types.size(); ++i) {
-        if (table.schema().column(i).type != plan->column_types[i]) {
-          return std::nullopt;
-        }
-      }
     }
 
     // Index probes beat a columnar partition walk when the planner found
@@ -2992,9 +3105,20 @@ std::string QueryResult::to_table() const {
 // ---------------------------------------------------------------------------
 // Database facade
 
-bool Database::CaseInsensitiveLess::operator()(const std::string& a,
-                                               const std::string& b) const {
-  return support::to_lower(a) < support::to_lower(b);
+bool Database::CaseInsensitiveLess::operator()(
+    std::string_view a, std::string_view b) const noexcept {
+  // The order of the lowercased strings (std::string compares chars as
+  // unsigned char), without building them.
+  return std::lexicographical_compare(
+      a.begin(), a.end(), b.begin(), b.end(), [](char x, char y) {
+        return std::tolower(static_cast<unsigned char>(x)) <
+               std::tolower(static_cast<unsigned char>(y));
+      });
+}
+
+std::uint64_t Database::next_catalog_generation() noexcept {
+  static std::atomic<std::uint64_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 Table& Database::create_table(TableSchema schema) {
@@ -3004,23 +3128,24 @@ Table& Database::create_table(TableSchema schema) {
   }
   auto [it, inserted] =
       tables_.emplace(name, std::make_unique<Table>(std::move(schema)));
-  ++catalog_generation_;  // invalidates the layout-fingerprint memo
+  // Invalidates the layout-fingerprint memo and every cached resolution.
+  catalog_generation_ = next_catalog_generation();
   return *it->second;
 }
 
 bool Database::drop_table(std::string_view name) {
   const bool dropped = tables_.erase(std::string(name)) > 0;
-  if (dropped) ++catalog_generation_;
+  if (dropped) catalog_generation_ = next_catalog_generation();
   return dropped;
 }
 
 Table* Database::find_table(std::string_view name) {
-  const auto it = tables_.find(std::string(name));
+  const auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
 const Table* Database::find_table(std::string_view name) const {
-  const auto it = tables_.find(std::string(name));
+  const auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
@@ -3156,7 +3281,7 @@ QueryResult Database::execute_select_with(sql::SelectStmt& stmt,
   CteScope pre;
   pre.entries.reserve(injected.size());
   for (const InjectedCte& cte : injected) {
-    pre.entries.emplace_back(std::string(cte.name), cte.rows);
+    pre.entries.emplace_back(cte.name, cte.rows);
   }
   return SelectExec(*this, stmt, params, nullptr, nullptr, &pre).run();
 }

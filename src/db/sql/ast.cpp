@@ -28,7 +28,7 @@ namespace {
 
 // The clone walk records every (source node → copy) pair in `remap` so plan
 // annotations — which hold `const Expr*` into the source tree — can be
-// carried onto the copy (or back-propagated through the inverted map).
+// carried onto the copy.
 
 std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s, ExprRemap& remap);
 
@@ -93,6 +93,7 @@ std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s,
   // carries.
   if (s.fused_plan) out->fused_plan = remap_onto(*s.fused_plan, remap);
   out->fused_rejected = s.fused_rejected;
+  out->memo_key = s.memo_key;
   return out;
 }
 
@@ -141,13 +142,6 @@ void for_each_table_ref(const SelectStmt& stmt,
 std::unique_ptr<SelectStmt> SelectStmt::clone() const {
   ExprRemap remap;
   return clone_select(*this, remap);
-}
-
-std::unique_ptr<SelectStmt> SelectStmt::clone(
-    std::unordered_map<const Expr*, const Expr*>* remap) const {
-  ExprRemap local;
-  auto out = clone_select(*this, remap == nullptr ? local : *remap);
-  return out;
 }
 
 std::string Expr::to_string() const {

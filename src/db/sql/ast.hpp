@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -136,6 +135,10 @@ struct CommonTableExpr {
 /// the AST header stays free of plan details; ast.cpp and the executor
 /// include plan.hpp.
 struct FusedPlan;
+/// Executor-side resolution caches (defined in the executor): a SELECT
+/// node's resolved sources, and a WITH clause's materialization schedule.
+struct SelectResolution;
+struct CteSchedule;
 
 struct SelectStmt {
   std::vector<CommonTableExpr> ctes;  // statement-level WITH, in order
@@ -160,21 +163,32 @@ struct SelectStmt {
   /// works on const statements; safe under the executor's concurrency
   /// contract (concurrent execution only of DISTINCT prepared statements).
   /// The plan holds pointers into this statement's expression tree; clone()
-  /// carries it by remapping every pointer onto the cloned tree, so
-  /// PlanCache-cloned statements start hot instead of re-analyzing.
+  /// carries it by remapping every pointer onto the cloned tree, so a copy
+  /// of an executed statement starts hot instead of re-analyzing. (The COSY
+  /// plan cache shares SQL text, not statements: each evaluator prepares its
+  /// own, and each warms its own annotations.)
   mutable std::shared_ptr<const FusedPlan> fused_plan;
   mutable bool fused_rejected = false;
 
-  /// Structural deep copy (subquery materialization executes a copy so the
-  /// original statement stays reusable). Carries the fused-plan annotation
-  /// across the copy (expression pointers remapped onto the cloned tree).
-  /// The overload additionally reports the old-node → new-node map of every
-  /// cloned Expr, letting callers translate plan annotations in the other
-  /// direction — the executor back-propagates a plan built while running a
-  /// subquery clone onto the original statement through the inverted map.
+  /// Resolution cache, written by this node's first execution: its sources
+  /// (table handles with PARTITION selectors, or CTEs with the columns bound
+  /// against), slot bases and parameter count, valid for one catalog
+  /// generation. A later execution skips binding when its FROM/JOIN names
+  /// still resolve the same way, and rebinds (replacing the cache) when not.
+  /// Not carried by clone(): a copy resolves on its first execution.
+  mutable std::shared_ptr<const SelectResolution> resolution;
+  /// WITH-clause schedule (dependency lists, scan-estimate tables), derived
+  /// once per catalog generation. Not carried by clone().
+  mutable std::shared_ptr<const CteSchedule> cte_schedule;
+  /// Structural key of a scalar subquery for the per-execution memo,
+  /// rendered before the node first executes (execution expands stars and
+  /// rewrites ORDER BY ordinals, which would change a later rendering).
+  /// Empty until then; clone() carries it.
+  mutable std::string memo_key;
+
+  /// Structural deep copy. Carries the fused-plan annotation (expression
+  /// pointers remapped onto the cloned tree) and the memo key.
   [[nodiscard]] std::unique_ptr<SelectStmt> clone() const;
-  [[nodiscard]] std::unique_ptr<SelectStmt> clone(
-      std::unordered_map<const Expr*, const Expr*>* remap) const;
 };
 
 /// Visits every TableRef of one SELECT — FROM, every JOIN, and every

@@ -18,10 +18,9 @@
 namespace kojak::db::sql {
 
 /// Old-expression-node → new-expression-node map produced by a plan-carrying
-/// clone: `SelectStmt::clone(&map)` records every Expr it copies, so plan
+/// clone: `SelectStmt::clone()` records every Expr it copies, so plan
 /// annotations (whose `const Expr*` members reference the source tree) can be
-/// re-targeted onto the copy — or, inverted, back-propagated from an executed
-/// copy onto the original statement.
+/// re-targeted onto the copy.
 using ExprRemap = std::unordered_map<const Expr*, const Expr*>;
 
 /// SQL LIKE with '%' (any run) and '_' (single char). Shared by the row-path

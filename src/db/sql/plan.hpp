@@ -2,6 +2,7 @@
 #define KOJAK_DB_SQL_PLAN_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -28,8 +29,10 @@ namespace kojak::db::sql {
 /// `SelectStmt::clone()` carries it by remapping every pointer onto the
 /// cloned expression tree (see remap_onto below).
 struct FusedPlan {
-  std::string table;                    // base table the statement scans
-  std::vector<ValueType> column_types;  // schema snapshot, validated on reuse
+  /// Database::catalog_generation() at analysis: the plan is reused only
+  /// while it stands, so it never outlives the table layout it describes.
+  std::uint64_t catalog_generation = 0;
+  std::vector<ValueType> column_types;  // the base table's schema
 
   /// Whole-WHERE bytecode program (null without a WHERE clause): its
   /// boolean output lanes AND into the selection bitmap with NULL-as-false

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <thread>
+
 #include "asl/compilability.hpp"
 #include "asl/interp.hpp"
 #include "asl/sema.hpp"
@@ -206,6 +212,73 @@ TEST(EvalBackendRegistry, UserBackendsPlugIntoTheAnalyzer) {
   EXPECT_TRUE(report.findings.empty());
   EXPECT_TRUE(report.not_applicable.empty());
   EXPECT_TRUE(report.tuned());
+}
+
+namespace {
+
+/// A wrapping backend whose factory builds its inner backend through the
+/// registry — the shape that deadlocks if create() runs factories under the
+/// registry lock.
+class WrappingBackend final : public cosy::EvalBackend {
+ public:
+  explicit WrappingBackend(const cosy::EvalBackendDeps& deps)
+      : cosy::EvalBackend(deps),
+        inner_(cosy::EvalBackend::create("interpreter", deps)) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "test-wrapping-interpreter";
+  }
+  void prepare(const asl::Model& model, asl::ObjectId run) override {
+    inner_->prepare(model, run);
+  }
+  [[nodiscard]] PropertyResult evaluate(
+      const asl::PropertyInfo& property,
+      const std::vector<RtValue>& args) override {
+    return inner_->evaluate(property, args);
+  }
+
+ private:
+  std::unique_ptr<cosy::EvalBackend> inner_;
+};
+
+}  // namespace
+
+TEST(EvalBackendRegistry, FactoriesMayCreateOtherBackends) {
+  cosy::EvalBackend::register_backend(
+      {"test-wrapping-interpreter", "test double: delegates to interpreter",
+       /*needs_store=*/true, /*needs_connection=*/false,
+       [](const cosy::EvalBackendDeps& deps) {
+         return std::make_unique<WrappingBackend>(deps);
+       }});
+  // The analysis runs on its own thread with a bounded wait, so a factory
+  // deadlock fails this test instead of hanging the binary. A deadlocked
+  // thread can never be joined (and holds the registry mutex), so on
+  // timeout the binary reports the failure and exits at once.
+  World world(perf::workloads::imbalanced_ocean(), {1, 4});
+  cosy::Analyzer analyzer(world.model, world.store, world.handles);
+  cosy::AnalyzerConfig config;
+  config.backend = "test-wrapping-interpreter";
+  std::string wrapped;
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread worker([&] {
+    try {
+      wrapped = render_exact(analyzer.analyze(1, config));
+      finished.set_value();
+    } catch (...) {
+      finished.set_exception(std::current_exception());
+    }
+  });
+  if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    ADD_FAILURE() << "EvalBackend::create deadlocked on a nested create()";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  worker.join();
+  done.get();
+
+  config.backend = "interpreter";
+  EXPECT_EQ(wrapped, render_exact(analyzer.analyze(1, config)));
+  EXPECT_FALSE(wrapped.empty());
 }
 
 TEST(EvalBackendRegistry, SqlEvalModesSpellTheirNames) {

@@ -1144,3 +1144,240 @@ TEST(Exec, PrepareRejectsMultiStatementScripts) {
   kdb::PreparedStatement stmt = db.prepare("SELECT COUNT(*) FROM emp;");
   EXPECT_EQ(db.execute(stmt).scalar().as_int(), 5);
 }
+
+// ---------------------------------------------------------------------------
+// Resolution cache: each SELECT node of a prepared statement binds once per
+// catalog generation and re-executes without re-binding while its FROM/JOIN
+// names resolve the same way.
+
+namespace {
+
+/// Column names, row count and every value by total equality — the
+/// byte-identity contract of the differential suites.
+void expect_identical(const QueryResult& a, const QueryResult& b) {
+  EXPECT_EQ(a.to_table(), b.to_table());
+  ASSERT_EQ(a.columns, b.columns);
+  ASSERT_EQ(a.row_count(), b.row_count());
+  for (std::size_t r = 0; r < a.row_count(); ++r) {
+    for (std::size_t c = 0; c < a.column_count(); ++c) {
+      EXPECT_TRUE(a.at(r, c).equals_total(b.at(r, c))) << r << "," << c;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ResolutionCache, SecondExecutionBindsNothingAndDdlRebindsEverything) {
+  Database db = make_db();
+  // Four SELECT nodes: the statement, the WITH body and two distinct
+  // scalar subqueries.
+  kdb::PreparedStatement stmt = db.prepare(
+      "WITH d AS (SELECT salary FROM emp WHERE dept = ?) "
+      "SELECT (SELECT MAX(salary) FROM d) AS top, "
+      "(SELECT COUNT(*) FROM emp WHERE dept = ?) AS n");
+  const std::vector<Value> params{Value::integer(1), Value::integer(2)};
+
+  const auto b1 = db.exec_stats();
+  const QueryResult first = db.execute(stmt, params);
+  const auto a1 = db.exec_stats();
+  EXPECT_EQ(a1.select_binds - b1.select_binds, 4u);
+  EXPECT_EQ(a1.select_bind_reuses - b1.select_bind_reuses, 0u);
+  EXPECT_DOUBLE_EQ(first.at(0, 0).as_double(), 100.0);
+  EXPECT_EQ(first.at(0, 1).as_int(), 2);
+
+  const QueryResult second = db.execute(stmt, params);
+  const auto a2 = db.exec_stats();
+  EXPECT_EQ(a2.select_binds - a1.select_binds, 0u);
+  EXPECT_EQ(a2.select_bind_reuses - a1.select_bind_reuses, 4u);
+  expect_identical(first, second);
+  // The work itself is unchanged: same subquery and CTE counts.
+  EXPECT_EQ(a2.subquery_executions - a1.subquery_executions,
+            a1.subquery_executions - b1.subquery_executions);
+  EXPECT_EQ(a2.cte_materializations - a1.cte_materializations, 1u);
+
+  // Any DDL renews the catalog generation: every node rebinds once.
+  db.execute("CREATE TABLE unrelated (x INTEGER)");
+  const QueryResult third = db.execute(stmt, params);
+  const auto a3 = db.exec_stats();
+  EXPECT_EQ(a3.select_binds - a2.select_binds, 4u);
+  EXPECT_EQ(a3.select_bind_reuses - a2.select_bind_reuses, 0u);
+  expect_identical(first, third);
+  (void)db.execute(stmt, params);
+  const auto a4 = db.exec_stats();
+  EXPECT_EQ(a4.select_binds - a3.select_binds, 0u);
+  EXPECT_EQ(a4.select_bind_reuses - a3.select_bind_reuses, 4u);
+}
+
+TEST(ResolutionCache, RecreatedTableWithReorderedColumnsReadsTheNewLayout) {
+  Database db;
+  db.execute(
+      "CREATE TABLE t (a INTEGER, b TEXT);"
+      "INSERT INTO t VALUES (1, 'x'), (2, 'y');");
+  kdb::PreparedStatement stmt = db.prepare(
+      "SELECT a, b, (SELECT b FROM t WHERE a = ?) AS sub FROM t WHERE a = ?");
+  const std::vector<Value> params{Value::integer(2), Value::integer(1)};
+  QueryResult before = db.execute(stmt, params);
+  ASSERT_EQ(before.row_count(), 1u);
+  EXPECT_EQ(before.at(0, 0).as_int(), 1);
+  EXPECT_EQ(before.at(0, 1).as_string(), "x");
+  EXPECT_EQ(before.at(0, 2).as_string(), "y");
+
+  db.execute(
+      "DROP TABLE t;"
+      "CREATE TABLE t (b TEXT, a INTEGER);"
+      "INSERT INTO t VALUES ('p', 1), ('q', 2);");
+  for (int run = 0; run < 2; ++run) {
+    const QueryResult after = db.execute(stmt, params);
+    ASSERT_EQ(after.row_count(), 1u);
+    EXPECT_EQ(after.at(0, 0).as_int(), 1) << run;
+    EXPECT_EQ(after.at(0, 1).as_string(), "p") << run;
+    EXPECT_EQ(after.at(0, 2).as_string(), "q") << run;
+  }
+
+  // A dropped table is an error on every later execution, not a stale read.
+  db.execute("DROP TABLE t");
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_THROW((void)db.execute(stmt, params), EvalError) << run;
+  }
+}
+
+TEST(ResolutionCache, RecreatedColumnarTableReanalyzesTheFusedPlan) {
+  Database db;
+  db.execute(
+      "CREATE TABLE t (a INTEGER, b INTEGER) STORAGE COLUMNAR;"
+      "INSERT INTO t VALUES (1, 100), (2, 200);");
+  kdb::PreparedStatement stmt = db.prepare("SELECT SUM(a) FROM t");
+  EXPECT_DOUBLE_EQ(db.execute(stmt).scalar().as_double(), 3.0);
+  // Same column types in another order: a plan compiled against the old
+  // layout would sum column 0, which now holds b.
+  db.execute(
+      "DROP TABLE t;"
+      "CREATE TABLE t (b INTEGER, a INTEGER) STORAGE COLUMNAR;"
+      "INSERT INTO t VALUES (100, 1), (200, 2);");
+  const auto before = db.exec_stats();
+  EXPECT_DOUBLE_EQ(db.execute(stmt).scalar().as_double(), 3.0);
+  const auto after = db.exec_stats();
+  EXPECT_EQ(after.columnar_scans - before.columnar_scans, 1u);
+  EXPECT_EQ(after.fused_plan_evals - before.fused_plan_evals, 0u);
+  EXPECT_DOUBLE_EQ(db.execute(stmt).scalar().as_double(), 3.0);
+  EXPECT_EQ(db.exec_stats().fused_plan_evals - after.fused_plan_evals, 1u);
+}
+
+TEST(ResolutionCache, TooFewParametersThrowOnEveryExecution) {
+  Database db = make_db();
+  kdb::PreparedStatement top =
+      db.prepare("SELECT name FROM emp WHERE dept = ? AND salary > ?");
+  kdb::PreparedStatement nested = db.prepare(
+      "SELECT (SELECT COUNT(*) FROM emp WHERE dept = ? AND salary > ?)");
+  const std::vector<Value> full{Value::integer(1), Value::real(90.0)};
+  const std::vector<Value> short_params{Value::integer(1)};
+  for (kdb::PreparedStatement* stmt : {&top, &nested}) {
+    EXPECT_EQ(db.execute(*stmt, full).row_count(), 1u);
+    for (int run = 0; run < 3; ++run) {
+      try {
+        (void)db.execute(*stmt, short_params);
+        FAIL() << "expected EvalError on run " << run;
+      } catch (const EvalError& e) {
+        EXPECT_NE(std::string(e.what()).find("statement needs parameter #2"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    // A failed bind leaves the statement reusable.
+    EXPECT_EQ(db.execute(*stmt, full).row_count(), 1u);
+  }
+}
+
+TEST(ResolutionCache, CteShadowingACatalogTableResolvesToTheCteEveryTime) {
+  Database db = make_db();
+  // Inside the statement `dept` always names the CTE (2 rows), never the
+  // catalog table (3 rows); the body reads the catalog table `emp`.
+  kdb::PreparedStatement stmt = db.prepare(
+      "WITH dept AS (SELECT id FROM emp WHERE dept = 1) "
+      "SELECT (SELECT COUNT(*) FROM dept), (SELECT COUNT(*) FROM emp), "
+      "COUNT(*) FROM dept");
+  for (int run = 0; run < 3; ++run) {
+    const QueryResult result = db.execute(stmt);
+    ASSERT_EQ(result.row_count(), 1u);
+    EXPECT_EQ(result.at(0, 0).as_int(), 2) << run;
+    EXPECT_EQ(result.at(0, 1).as_int(), 5) << run;
+    EXPECT_EQ(result.at(0, 2).as_int(), 2) << run;
+  }
+  // The catalog table itself is untouched by the shadowing.
+  EXPECT_EQ(db.execute("SELECT COUNT(*) FROM dept").scalar().as_int(), 3);
+}
+
+TEST(ResolutionCache, InjectedAndPlainExecutionsAgreeByteForByte) {
+  Database db = make_db();
+  kdb::PreparedStatement prepared = db.prepare(
+      "WITH a AS (SELECT SUM(salary) AS s FROM emp WHERE dept = 1), "
+      "b AS (SELECT SUM(salary) AS s FROM emp WHERE dept = 2) "
+      "SELECT (SELECT s FROM a) + (SELECT s FROM b) AS total, "
+      "(SELECT s FROM a) AS a_only, (SELECT COUNT(*) FROM emp) AS n");
+  auto& stmt = std::get<kojak::db::sql::SelectStmt>(prepared.ast());
+  const QueryResult a_rows =
+      db.execute("SELECT SUM(salary) AS s FROM emp WHERE dept = 1");
+  const QueryResult b_rows =
+      db.execute("SELECT SUM(salary) AS s FROM emp WHERE dept = 2");
+  const Database::InjectedCte inject_a[] = {{"a", &a_rows}};
+  const Database::InjectedCte inject_b[] = {{"b", &b_rows}};
+
+  const QueryResult reference = db.execute_select_with(stmt, {}, {});
+  EXPECT_DOUBLE_EQ(reference.at(0, 0).as_double(), 420.0);
+  // An injected result stands in for the WITH entry it names (injecting `b`
+  // also reorders the scope: b before a). Every name still resolves to a
+  // CTE with the same columns, so each execution reuses the resolutions and
+  // only points the CTE sources at this execution's rows.
+  const auto start = db.exec_stats();
+  for (int round = 0; round < 3; ++round) {
+    expect_identical(reference, db.execute_select_with(stmt, {}, inject_a));
+    expect_identical(reference, db.execute_select_with(stmt, {}, {}));
+    const auto before = db.exec_stats();
+    expect_identical(reference, db.execute_select_with(stmt, {}, inject_b));
+    const auto after = db.exec_stats();
+    EXPECT_EQ(after.cte_materializations - before.cte_materializations, 1u);
+    expect_identical(reference, db.execute_select_with(stmt, {}, {}));
+  }
+  EXPECT_EQ(db.exec_stats().select_binds - start.select_binds, 0u);
+
+  // An injected result with other columns moves `s` to slot 1: the nodes
+  // reading `a` rebind instead of reading slot 0.
+  const QueryResult a_wide = db.execute(
+      "SELECT 0 AS x, SUM(salary) AS s FROM emp WHERE dept = 1");
+  const Database::InjectedCte inject_wide[] = {{"a", &a_wide}};
+  const auto before_wide = db.exec_stats();
+  expect_identical(reference, db.execute_select_with(stmt, {}, inject_wide));
+  EXPECT_GT(db.exec_stats().select_binds - before_wide.select_binds, 0u);
+  expect_identical(reference, db.execute_select_with(stmt, {}, {}));
+}
+
+TEST(ResolutionCache, PreparedPartitionUnionIsDeterministicInParallel) {
+  Database db = make_partitioned_db(4, 400);
+  const char* union_stmt =
+      "WITH "
+      "part0 AS (SELECT SUM(v) AS s, COUNT(*) AS n FROM pt PARTITION (0)), "
+      "part1 AS (SELECT SUM(v) AS s, COUNT(*) AS n FROM pt PARTITION (1)), "
+      "part2 AS (SELECT SUM(v) AS s, COUNT(*) AS n FROM pt PARTITION (2)), "
+      "part3 AS (SELECT SUM(v) AS s, COUNT(*) AS n FROM pt PARTITION (3)) "
+      "SELECT (SELECT s FROM part0) + (SELECT s FROM part1) + "
+      "(SELECT s FROM part2) + (SELECT s FROM part3) AS total, "
+      "(SELECT n FROM part0) + (SELECT n FROM part1) + "
+      "(SELECT n FROM part2) + (SELECT n FROM part3) AS rows_seen";
+  db.set_scan_config({.threads = 1, .min_parallel_rows = 1});
+  const QueryResult serial = db.execute(union_stmt);
+  EXPECT_EQ(serial.at(0, 1).as_int(), 400);
+
+  db.set_scan_config({.threads = 4, .min_parallel_rows = 1});
+  kdb::PreparedStatement stmt = db.prepare(union_stmt);
+  for (int run = 0; run < 3; ++run) {
+    const auto before = db.exec_stats();
+    expect_identical(serial, db.execute(stmt));
+    const auto after = db.exec_stats();
+    EXPECT_EQ(after.cte_parallel_materializations -
+                  before.cte_parallel_materializations,
+              4u)
+        << run;
+    EXPECT_EQ(after.select_binds - before.select_binds, run == 0 ? 13u : 0u)
+        << run;
+  }
+}
