@@ -1291,7 +1291,9 @@ class WholeConditionCompiler {
       }
       return false;
     };
-    while (taken(base)) base.insert(0, "_");
+    // A fresh string per prefix, not base.insert(0, "_"): GCC 12 flags the
+    // inlined in-place insert with a false -Wrestrict overlap.
+    while (taken(base)) base = support::cat("_", base);
     return base;
   }
 

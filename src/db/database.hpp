@@ -34,11 +34,11 @@ class PreparedStatement {
 /// The embedded relational engine: a catalog of tables plus a SQL executor.
 /// Not thread-safe for concurrent mutation. Concurrent read-only SELECTs are
 /// safe on *distinct* statements only: every execution may write the
-/// statement's own caches — each SELECT node's resolution (rebuilt on the
-/// first execution, after DDL, or when a name resolves differently), its
-/// subquery memo key and its fused-plan annotation — so one statement must
-/// not run on two threads at once, even read-only. Parallel CTE waves obey
-/// this: each body is its own node, run by one task.
+/// statement's own annotations — each SELECT node's one plan (built on the
+/// first execution and replaced whole after DDL or when a name resolves
+/// differently) and its subquery memo key — so one statement must not run
+/// on two threads at once, even read-only. Parallel CTE waves obey this:
+/// each body is its own node, run by one task.
 class Database {
  public:
   Table& create_table(TableSchema schema);
@@ -104,12 +104,12 @@ class Database {
     std::string_view name;
     const QueryResult* rows = nullptr;
   };
-  /// Executes `stmt` with some of its WITH entries pre-materialized. CTEs
-  /// whose names are absent from `injected` materialize as usual; names in
-  /// `injected` that match no WITH entry are simply additional visible
-  /// derived tables. The residual merge expressions (scalar subqueries
-  /// over the injected names) execute unchanged, so the result
-  /// is byte-identical to a plain execute() of the same statement.
+  /// Executes `stmt` with some of its WITH entries pre-materialized. An
+  /// injected entry replaces the same-named WITH entry; WITH entries
+  /// absent from `injected` materialize as usual, and injected names that
+  /// match no WITH entry are ignored. The residual merge expressions
+  /// (scalar subqueries over the injected names) execute unchanged, so the
+  /// result is byte-identical to a plain execute() of the same statement.
   QueryResult execute_select_with(sql::SelectStmt& stmt,
                                   std::span<const Value> params,
                                   std::span<const InjectedCte> injected);

@@ -2,8 +2,9 @@
 // (hash/indexed) equi-joins, filters, grouped aggregation, HAVING, DISTINCT,
 // ORDER BY, LIMIT/OFFSET, and the DML statements. Lives behind
 // Database::execute; there is no separate physical-plan IR — the statement
-// AST plus binder annotations *is* the plan, which is adequate for the data
-// volumes COSY manages (10^4..10^6 rows).
+// AST plus each SELECT node's resolved plan (sql::SelectPlan below) *is*
+// the plan, which is adequate for the data volumes COSY manages
+// (10^4..10^6 rows).
 
 #include <algorithm>
 #include <atomic>
@@ -16,16 +17,12 @@
 #include <unordered_map>
 
 #include "db/database.hpp"
+#include "db/sql/expr_vm.hpp"
 #include "db/sql/parser.hpp"
-#include "db/sql/plan.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
 #include "support/thread_pool.hpp"
-
-// The hot-plan annotation behind SelectStmt::fused_plan (sql::FusedPlan)
-// lives in db/sql/plan.hpp so the clone machinery in ast.cpp can carry it
-// across statement copies.
 
 namespace kojak::db {
 
@@ -345,33 +342,75 @@ class Binder {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Resolution caches (the opaque SelectStmt annotations declared in ast.hpp),
-// valid while Database::catalog_generation() stands — it is process-unique,
-// so it also names the database.
+// Node plans (the opaque SelectStmt::plan declared in ast.hpp)
 
 namespace sql {
 
-/// One SELECT node's resolution: its sources (table handle plus PARTITION
-/// selector, or CTE) with their slot bases, after star expansion, and the
-/// parameters its own expressions need; the tree keeps the resolved slots.
-/// CTE results are per execution: `derived` and the bind-time `qualifier`
-/// stay empty here, and `derived_columns` records the columns the slots
-/// were resolved against (empty for catalog sources).
-struct SelectResolution {
-  std::uint64_t catalog = 0;
-  std::vector<ScanSource> sources;
-  std::vector<std::vector<std::string>> derived_columns;
-  std::size_t params_needed = 0;
+/// The columnar evaluator's input: the structural analysis of an aggregate
+/// node over one columnar base table. A global aggregate is a GROUP BY with
+/// zero keys (the per-partition `part<K>` CTE body the partition-union
+/// rewrite emits is the dominant such shape). Everything value-dependent —
+/// partition pruning, parameter and subquery constants — is re-bound per
+/// execution. Expression pointers reference the owning node's tree, which
+/// outlives the plan.
+struct FusedPlan {
+  std::vector<ValueType> column_types;  // the base table's schema
+
+  /// Whole-WHERE bytecode program (null without a WHERE clause): its
+  /// boolean output lanes AND into the selection bitmap with NULL-as-false
+  /// semantics.
+  std::shared_ptr<const ExprProgram> where_program;
+
+  /// One GROUP BY key: a base-relative column index (program == nullptr)
+  /// or a compiled key program. Empty for a global aggregate.
+  struct GroupKey {
+    std::size_t column = static_cast<std::size_t>(-1);  // SIZE_MAX => program
+    std::shared_ptr<const ExprProgram> program;
+  };
+  std::vector<GroupKey> group_keys;  // GROUP BY order
+
+  /// Output-side nodes (in items / HAVING / ORDER BY) structurally equal to
+  /// a *program* group key: evaluated as that key's per-group value via
+  /// EvalCtx pinning instead of from the representative row. Plain-column
+  /// keys need no pinning — the representative row already carries them.
+  std::vector<std::pair<const Expr*, std::size_t>> key_refs;
+
+  /// One aggregate call: over a plain base column (program == nullptr;
+  /// column == SIZE_MAX for COUNT(*)) or over an arbitrary compiled value
+  /// program whose output lanes feed the same kernels. Collected in
+  /// run_aggregation's order (items, HAVING, ORDER BY) so finalized values
+  /// map back onto the same Expr nodes.
+  struct Aggregate {
+    const Expr* expr = nullptr;
+    std::size_t column = static_cast<std::size_t>(-1);
+    std::shared_ptr<const ExprProgram> program;
+  };
+  std::vector<Aggregate> aggregates;
 };
 
-/// A WITH clause's materialization schedule: the earlier entries each body
-/// references, and the catalog table each body's FROM scans (null when
-/// FROM-less, unknown, or naming an earlier entry) for the parallel-dispatch
-/// estimate.
-struct CteSchedule {
+/// Everything one SELECT node resolves once, under one stamp: valid while
+/// Database::catalog_generation() stands (process-unique, so it also names
+/// the database), and replaced whole by the first execution after DDL.
+struct SelectPlan {
   std::uint64_t catalog = 0;
-  std::vector<std::vector<std::size_t>> deps;
-  std::vector<const Table*> scan_tables;
+  /// Sources (table handle plus PARTITION selector, or CTE) with their slot
+  /// bases, after star expansion; the tree keeps the resolved slots. CTE
+  /// results are per execution: `derived` and the bind-time `qualifier`
+  /// stay empty here, and `derived_columns` records the columns the slots
+  /// were resolved against (empty for catalog sources).
+  std::vector<ScanSource> sources;
+  std::vector<std::vector<std::string>> derived_columns;
+  /// Highest `?` index + 1 of the node's own expressions.
+  std::size_t params_needed = 0;
+  /// WITH schedule: the earlier entries each body references, and the
+  /// catalog table each body's FROM scans (null when FROM-less, unknown, or
+  /// naming an earlier entry) for the parallel-dispatch estimate.
+  std::vector<std::vector<std::size_t>> cte_deps;
+  std::vector<const Table*> cte_scan_tables;
+  /// Fused verdict: the columnar evaluator's plan, or null for the row
+  /// path. Analyzed only for a node aggregating over one columnar base
+  /// table.
+  std::unique_ptr<const FusedPlan> fused;
 };
 
 }  // namespace sql
@@ -1108,17 +1147,27 @@ class SelectExec {
     ExecEnv local_env;
     if (env_ == nullptr) env_ = &local_env;
 
+    // The node's plan while its catalog stamp stands; otherwise resolve()
+    // builds a fresh one, published once the subqueries have values.
+    plan_ = stmt_.plan.get();
+    if (plan_ != nullptr && plan_->catalog != db_.catalog_generation()) {
+      plan_ = nullptr;
+    }
     if (!stmt_.ctes.empty()) materialize_ctes();
     resolve();
     materialize_subqueries();
+    const bool aggregation = needs_aggregation();
+    const bool fresh = fresh_ != nullptr;
+    if (fresh) publish_plan(aggregation);
 
     QueryResult result;
     result.columns = output_names();
 
     std::vector<std::pair<Row, Row>> out;  // (output row, order keys)
     std::optional<std::vector<std::pair<Row, Row>>> fused;
-    const bool aggregation = needs_aggregation();
-    if (aggregation) fused = try_vectorized_aggregation();
+    if (aggregation && plan_->fused != nullptr) {
+      fused = try_vectorized_aggregation(*plan_->fused, !fresh);
+    }
     if (fused) {
       // Fused single-pass columnar evaluator: scan, WHERE, and aggregation
       // already happened batch-at-a-time over the column vectors.
@@ -1207,8 +1256,7 @@ class SelectExec {
     Binder binder(db_, params_);
     bind_fresh(binder);
     if (!needs_aggregation()) return "row path (no aggregation)";
-    if (sources_.size() != 1 || sources_[0].table == nullptr ||
-        !sources_[0].table->columnar()) {
+    if (!single_columnar_base()) {
       return "row path (not a single columnar base table)";
     }
     const bool grouped = !stmt_.group_by.empty();
@@ -1222,49 +1270,43 @@ class SelectExec {
 
  private:
   /// Resolves this node's sources and binds its expressions, or reuses the
-  /// resolution cached on the node: under the same catalog generation, with
-  /// enough parameters, and with every FROM/JOIN name resolving as it did —
-  /// to the catalog, or to a CTE result with the same columns. The tree
-  /// already holds the slots a bind would write, so reuse only points the
-  /// CTE sources at this execution's results. Anything else binds from
-  /// scratch; too few parameters thereby raise the usual diagnostic.
+  /// node's plan: with enough parameters, and with every FROM/JOIN name
+  /// resolving as it did — to the catalog, or to a CTE result with the same
+  /// columns. The tree already holds the slots a bind would write, so reuse
+  /// only points the CTE sources at this execution's results. Anything else
+  /// binds from scratch into a fresh plan; too few parameters thereby raise
+  /// the usual diagnostic.
   void resolve() {
-    if (const sql::SelectResolution* cached = stmt_.resolution.get();
-        cached != nullptr && reuse(*cached)) {
+    if (plan_ != nullptr && reuse(*plan_)) {
       db_.count_select_bind_reuses();
       return;
     }
     db_.count_select_binds();
     Binder binder(db_, params_);
     bind_fresh(binder);
-    auto resolution = std::make_shared<sql::SelectResolution>();
-    resolution->catalog = db_.catalog_generation();
-    resolution->sources = sources_;
-    for (ScanSource& source : resolution->sources) {
-      resolution->derived_columns.push_back(
-          source.derived == nullptr ? std::vector<std::string>{}
-                                    : source.derived->columns);
+    sql::SelectPlan& plan = fresh_plan();
+    plan.sources = sources_;
+    for (ScanSource& source : plan.sources) {
+      plan.derived_columns.push_back(source.derived == nullptr
+                                         ? std::vector<std::string>{}
+                                         : source.derived->columns);
       source.derived = nullptr;
       source.qualifier = {};  // views the tree, which may move between runs
     }
-    resolution->params_needed = binder.params_needed();
-    stmt_.resolution = std::move(resolution);
+    plan.params_needed = binder.params_needed();
   }
 
-  /// Fills sources_ from `cached` when it still describes this execution.
-  [[nodiscard]] bool reuse(const sql::SelectResolution& cached) {
-    if (cached.catalog != db_.catalog_generation() ||
-        params_.size() < cached.params_needed) {
-      return false;
-    }
-    std::vector<ScanSource> sources = cached.sources;
+  /// Fills sources_ from `plan` when it still describes this execution.
+  [[nodiscard]] bool reuse(const sql::SelectPlan& plan) {
+    if (params_.size() < plan.params_needed) return false;
+    std::vector<ScanSource> sources = plan.sources;
     for (std::size_t i = 0; i < sources.size(); ++i) {
       const sql::TableRef& ref =
           i == 0 ? *stmt_.from : stmt_.joins[i - 1].table;
       const QueryResult* derived = scope_.find(ref.table);
       const bool was_cte = sources[i].table == nullptr;
       if ((derived != nullptr) != was_cte ||
-          (was_cte && derived->columns != cached.derived_columns[i])) {
+          (was_cte && derived->columns != plan.derived_columns[i])) {
         return false;
       }
       sources[i].derived = derived;
@@ -1273,21 +1315,18 @@ class SelectExec {
     return true;
   }
 
-  /// The WITH clause's schedule, derived once per catalog generation: each
-  /// body's references to earlier entries (FROM, JOINs, and subqueries,
-  /// recursively — the parser already rejects self and forward references,
-  /// so dependencies only point backwards), and the catalog table its FROM
-  /// scans.
-  const sql::CteSchedule& cte_schedule() {
-    const sql::CteSchedule* cached = stmt_.cte_schedule.get();
-    if (cached != nullptr && cached->catalog == db_.catalog_generation()) {
-      return *cached;
-    }
+  /// The plan this execution builds, started on first use with the catalog
+  /// stamp and the WITH schedule: each body's references to earlier entries
+  /// (FROM, JOINs, and subqueries, recursively — the parser already rejects
+  /// self and forward references, so dependencies only point backwards),
+  /// and the catalog table its FROM scans.
+  sql::SelectPlan& fresh_plan() {
+    if (fresh_ != nullptr) return *fresh_;
+    fresh_ = std::make_shared<sql::SelectPlan>();
+    fresh_->catalog = db_.catalog_generation();
     const std::size_t n = stmt_.ctes.size();
-    auto schedule = std::make_shared<sql::CteSchedule>();
-    schedule->catalog = db_.catalog_generation();
-    schedule->deps.resize(n);
-    schedule->scan_tables.resize(n, nullptr);
+    fresh_->cte_deps.resize(n);
+    fresh_->cte_scan_tables.resize(n, nullptr);
     const auto earlier = [&](std::size_t index, std::string_view name) {
       for (std::size_t j = 0; j < index; ++j) {
         if (support::iequals(name, stmt_.ctes[j].name)) return j;
@@ -1298,22 +1337,32 @@ class SelectExec {
       const sql::SelectStmt& body = *stmt_.ctes[i].select;
       sql::for_each_table_ref(body, [&](const sql::TableRef& ref) {
         const std::size_t j = earlier(i, ref.table);
-        if (j < i) schedule->deps[i].push_back(j);
+        if (j < i) fresh_->cte_deps[i].push_back(j);
       });
       if (body.from && earlier(i, body.from->table) == i) {
-        schedule->scan_tables[i] = db_.find_table(body.from->table);
+        fresh_->cte_scan_tables[i] = db_.find_table(body.from->table);
       }
     }
-    stmt_.cte_schedule = schedule;
-    return *schedule;
+    return *fresh_;
+  }
+
+  /// Completes the fresh plan with the fused verdict — analyzed once the
+  /// scalar subqueries have values, so compiled constant slots carry their
+  /// types — and installs it on the node.
+  void publish_plan(bool aggregation) {
+    if (aggregation && single_columnar_base()) {
+      fresh_->fused = analyze_aggregate(sources_[0]);
+    }
+    stmt_.plan = std::move(fresh_);
+    plan_ = stmt_.plan.get();
   }
 
   /// Live rows the `index`-th CTE's base scan would touch (0 when the body
   /// is FROM-less or reads a derived source) — the dispatch-threshold
   /// estimate for parallel materialization.
-  [[nodiscard]] std::size_t cte_scan_estimate(const sql::CteSchedule& schedule,
+  [[nodiscard]] std::size_t cte_scan_estimate(const sql::SelectPlan& plan,
                                               std::size_t index) const {
-    const Table* table = schedule.scan_tables[index];
+    const Table* table = plan.cte_scan_tables[index];
     if (table == nullptr) return 0;  // unknown tables surface at bind
     const sql::TableRef& from = *stmt_.ctes[index].select->from;
     // An enclosing statement's CTE shadows the catalog table.
@@ -1340,8 +1389,8 @@ class SelectExec {
   void materialize_ctes() {
     const std::size_t n = stmt_.ctes.size();
     cte_results_.resize(n);
-    const sql::CteSchedule& schedule = cte_schedule();
-    const auto& deps = schedule.deps;
+    const sql::SelectPlan& plan = plan_ != nullptr ? *plan_ : fresh_plan();
+    const auto& deps = plan.cte_deps;
 
     const Database::ScanConfig& config = db_.scan_config();
     const std::size_t workers =
@@ -1375,7 +1424,7 @@ class SelectExec {
 
       std::size_t estimate = 0;
       for (const std::size_t i : wave) {
-        estimate += cte_scan_estimate(schedule, i);
+        estimate += cte_scan_estimate(plan, i);
       }
       const bool parallel = wave.size() >= 2 && workers >= 2 &&
                             !env_->on_pool &&
@@ -1523,8 +1572,8 @@ class SelectExec {
         subquery_values_[&e] = hit->second;
         return;
       }
-      // Runs in place, like a top-level statement: the node's resolution
-      // and plan annotations stay cached on it for the next execution.
+      // Runs in place, like a top-level statement: the node's plan stays
+      // on it for the next execution.
       QueryResult sub_result =
           SelectExec(db_, sub, params_, &scope_, env_).run();
       db_.count_subquery_executions();
@@ -1886,10 +1935,10 @@ class SelectExec {
     return true;
   }
 
-  /// Structural analysis for the columnar evaluator. Eligible shape:
-  /// single columnar base table, no joins, every GROUP BY expression (none
-  /// for a global aggregate) a plain base column reference or a
-  /// VM-compilable key expression, every aggregate a supported
+  /// Structural analysis for the columnar evaluator over `base`, the node's
+  /// one columnar base table (single_columnar_base). Eligible shape: every
+  /// GROUP BY expression (none for a global aggregate) a plain base column
+  /// reference or a VM-compilable key expression, every aggregate a supported
   /// non-DISTINCT call over a plain base column, COUNT(*), or a
   /// VM-compilable argument (a keyed statement may have none — pure key
   /// deduplication), every bare column reference outside aggregate
@@ -1897,15 +1946,10 @@ class SelectExec {
   /// representative row, so it admits none), and a WHERE clause the VM
   /// compiles to one boolean program. Returns null when the statement
   /// doesn't fit.
-  [[nodiscard]] std::shared_ptr<const sql::FusedPlan> analyze_aggregate(
+  [[nodiscard]] std::unique_ptr<const sql::FusedPlan> analyze_aggregate(
       const ScanSource& base) const {
-    if (!stmt_.joins.empty()) return nullptr;
-    const Table& table = *base.table;
-    if (!table.columnar()) return nullptr;
-
-    auto plan = std::make_shared<sql::FusedPlan>();
-    plan->catalog_generation = db_.catalog_generation();
-    plan->column_types = column_type_snapshot(table);
+    auto plan = std::make_unique<sql::FusedPlan>();
+    plan->column_types = column_type_snapshot(*base.table);
 
     std::vector<std::string> key_strs;  // "" for plain-column keys
     for (const auto& g : stmt_.group_by) {
@@ -1955,31 +1999,13 @@ class SelectExec {
 
   /// Entry point of the columnar evaluator: returns the (output row, order
   /// keys) pairs the scan + WHERE + run_aggregation pipeline would have
-  /// produced, or nullopt to fall back to it. The structural verdict is
-  /// cached on the statement (fused_plan / fused_rejected); everything
-  /// value-dependent is re-derived here per execution.
-  std::optional<std::vector<std::pair<Row, Row>>> try_vectorized_aggregation() {
-    if (stmt_.fused_rejected) return std::nullopt;
-    if (sources_.size() != 1) return std::nullopt;
+  /// produced, or nullopt to fall back to it. The structural verdict is the
+  /// node plan's (`reused` when an earlier execution analyzed it);
+  /// everything value-dependent is re-derived here per execution.
+  std::optional<std::vector<std::pair<Row, Row>>> try_vectorized_aggregation(
+      const sql::FusedPlan& plan, bool reused) {
     const ScanSource& base = sources_[0];
-    if (base.table == nullptr) return std::nullopt;
     const Table& table = *base.table;
-
-    // A plan analyzed under another catalog generation may describe a
-    // table since dropped and re-created with another column order:
-    // analyze afresh.
-    const sql::FusedPlan* plan = stmt_.fused_plan.get();
-    const bool reused =
-        plan != nullptr && plan->catalog_generation == db_.catalog_generation();
-    if (!reused) {
-      auto built = analyze_aggregate(base);
-      if (built == nullptr) {
-        stmt_.fused_rejected = true;
-        return std::nullopt;
-      }
-      stmt_.fused_plan = std::move(built);
-      plan = stmt_.fused_plan.get();
-    }
 
     // Index probes beat a columnar partition walk when the planner found
     // one; the columnar evaluator only replaces full scans.
@@ -1992,19 +2018,19 @@ class SelectExec {
     // raises the interpreter's usual diagnostics.
     std::size_t program_evals = 0;
     sql::ExprProgram::Bound where_bound;
-    if (!bind_program(plan->where_program.get(), where_bound, program_evals)) {
+    if (!bind_program(plan.where_program.get(), where_bound, program_evals)) {
       return std::nullopt;
     }
-    std::vector<sql::ExprProgram::Bound> key_bounds(plan->group_keys.size());
-    for (std::size_t k = 0; k < plan->group_keys.size(); ++k) {
-      if (!bind_program(plan->group_keys[k].program.get(), key_bounds[k],
+    std::vector<sql::ExprProgram::Bound> key_bounds(plan.group_keys.size());
+    for (std::size_t k = 0; k < plan.group_keys.size(); ++k) {
+      if (!bind_program(plan.group_keys[k].program.get(), key_bounds[k],
                         program_evals)) {
         return std::nullopt;
       }
     }
-    std::vector<sql::ExprProgram::Bound> agg_bounds(plan->aggregates.size());
-    for (std::size_t a = 0; a < plan->aggregates.size(); ++a) {
-      if (!bind_program(plan->aggregates[a].program.get(), agg_bounds[a],
+    std::vector<sql::ExprProgram::Bound> agg_bounds(plan.aggregates.size());
+    for (std::size_t a = 0; a < plan.aggregates.size(); ++a) {
+      if (!bind_program(plan.aggregates[a].program.get(), agg_bounds[a],
                         program_evals)) {
         return std::nullopt;
       }
@@ -2012,7 +2038,7 @@ class SelectExec {
     if (program_evals > 0) db_.count_expr_program_evals(program_evals);
 
     if (reused) db_.count_fused_plan_evals();
-    return run_columnar_grouped(table, *plan, where_bound, key_bounds,
+    return run_columnar_grouped(table, plan, where_bound, key_bounds,
                                 agg_bounds, scan);
   }
 
@@ -2838,6 +2864,12 @@ class SelectExec {
     return !aggs.empty();
   }
 
+  /// The gate of the fused analysis: one source, a columnar base table.
+  [[nodiscard]] bool single_columnar_base() const {
+    return sources_.size() == 1 && sources_[0].table != nullptr &&
+           sources_[0].table->columnar();
+  }
+
   std::vector<std::pair<Row, Row>> run_aggregation(const std::vector<Row>& rows) {
     std::vector<const Expr*> agg_exprs;
     for (const auto& item : stmt_.items) collect_aggregates(*item.expr, agg_exprs);
@@ -2941,6 +2973,13 @@ class SelectExec {
   /// Externally-materialized CTE results (shard-result cache); null
   /// for ordinary executions.
   const CteScope* injected_ = nullptr;
+  /// The node's plan this execution runs under (owned by the node, which
+  /// only this execution writes): the cached one while its catalog stamp
+  /// stands, else the fresh one once published.
+  const sql::SelectPlan* plan_ = nullptr;
+  /// The plan this execution is building (fresh_plan), null when the cached
+  /// one is reused whole.
+  std::shared_ptr<sql::SelectPlan> fresh_;
   std::vector<ScanSource> sources_;
   std::unordered_map<const Expr*, Value> subquery_values_;
   /// Set when the base heap scan already applied the WHERE clause
@@ -3128,7 +3167,7 @@ Table& Database::create_table(TableSchema schema) {
   }
   auto [it, inserted] =
       tables_.emplace(name, std::make_unique<Table>(std::move(schema)));
-  // Invalidates the layout-fingerprint memo and every cached resolution.
+  // Invalidates the layout-fingerprint memo and every node plan.
   catalog_generation_ = next_catalog_generation();
   return *it->second;
 }
@@ -3311,15 +3350,15 @@ void max_param_count(const sql::SelectStmt& stmt, std::size_t& n) {
   for (const auto& key : stmt.order_by) max_param_count(key.expr.get(), n);
 }
 
-/// One SELECT's analysis-only verdict. Binds a throwaway clone (binding
-/// mutates the tree: star expansion, alias rewrites) with all-NULL
-/// parameters; bind failures — including FROM naming a CTE, which explain
-/// never materializes — report as row path with the diagnostic.
-std::string fused_verdict(Database& db, const sql::SelectStmt& stmt,
+/// One SELECT node's analysis-only verdict. Binds the node of explain's
+/// own throwaway parse (binding mutates the tree: star expansion, alias
+/// rewrites) with all-NULL parameters; bind failures — including FROM
+/// naming a CTE, which explain never materializes — report as row path
+/// with the diagnostic.
+std::string fused_verdict(Database& db, sql::SelectStmt& stmt,
                           std::span<const Value> params) {
-  const std::unique_ptr<sql::SelectStmt> copy = stmt.clone();
   try {
-    return SelectExec(db, *copy, params).explain_verdict();
+    return SelectExec(db, stmt, params).explain_verdict();
   } catch (const EvalError& e) {
     return support::cat("row path (", e.what(), ")");
   }
@@ -3334,7 +3373,7 @@ std::vector<Database::FusedExplain> Database::explain_fused(
   for (std::size_t s = 0; s < stmts.size(); ++s) {
     const std::string prefix =
         stmts.size() > 1 ? support::cat("stmt", s + 1, " ") : std::string();
-    const auto* select = std::get_if<sql::SelectStmt>(&stmts[s]);
+    auto* select = std::get_if<sql::SelectStmt>(&stmts[s]);
     if (select == nullptr) {
       out.push_back({support::cat(prefix, "main"), "not a SELECT"});
       continue;

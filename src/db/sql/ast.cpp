@@ -1,6 +1,5 @@
 #include "db/sql/ast.hpp"
 
-#include "db/sql/plan.hpp"
 #include "support/str.hpp"
 
 namespace kojak::db::sql {
@@ -22,86 +21,6 @@ std::string_view to_string(BinOp op) {
     case BinOp::kOr: return "OR";
   }
   return "?";
-}
-
-namespace {
-
-// The clone walk records every (source node → copy) pair in `remap` so plan
-// annotations — which hold `const Expr*` into the source tree — can be
-// carried onto the copy.
-
-std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s, ExprRemap& remap);
-
-ExprPtr clone_expr(const Expr& e, ExprRemap& remap) {
-  auto out = std::make_unique<Expr>();
-  out->kind = e.kind;
-  out->loc = e.loc;
-  out->literal = e.literal;
-  out->table = e.table;
-  out->column = e.column;
-  out->resolved_slot = e.resolved_slot;
-  out->param_index = e.param_index;
-  out->un_op = e.un_op;
-  out->bin_op = e.bin_op;
-  if (e.lhs) out->lhs = clone_expr(*e.lhs, remap);
-  if (e.rhs) out->rhs = clone_expr(*e.rhs, remap);
-  out->func = e.func;
-  for (const auto& a : e.args) out->args.push_back(clone_expr(*a, remap));
-  out->star_arg = e.star_arg;
-  out->distinct_arg = e.distinct_arg;
-  out->negated = e.negated;
-  if (e.subquery) out->subquery = clone_select(*e.subquery, remap);
-  out->alias_index = e.alias_index;
-  remap[&e] = out.get();
-  return out;
-}
-
-std::unique_ptr<SelectStmt> clone_select(const SelectStmt& s,
-                                         ExprRemap& remap) {
-  auto out = std::make_unique<SelectStmt>();
-  for (const auto& cte : s.ctes) {
-    out->ctes.push_back({cte.name, clone_select(*cte.select, remap), cte.loc});
-  }
-  out->distinct = s.distinct;
-  for (const auto& item : s.items) {
-    SelectItem copy;
-    if (item.expr) copy.expr = clone_expr(*item.expr, remap);
-    copy.alias = item.alias;
-    copy.star = item.star;
-    copy.star_table = item.star_table;
-    out->items.push_back(std::move(copy));
-  }
-  out->from = s.from;
-  for (const auto& join : s.joins) {
-    Join copy;
-    copy.table = join.table;
-    if (join.on) copy.on = clone_expr(*join.on, remap);
-    out->joins.push_back(std::move(copy));
-  }
-  if (s.where) out->where = clone_expr(*s.where, remap);
-  for (const auto& g : s.group_by)
-    out->group_by.push_back(clone_expr(*g, remap));
-  if (s.having) out->having = clone_expr(*s.having, remap);
-  for (const auto& k : s.order_by) {
-    out->order_by.push_back({clone_expr(*k.expr, remap), k.descending});
-  }
-  out->limit = s.limit;
-  out->offset = s.offset;
-  // Carry the hot-plan annotation: re-target its expression pointers onto
-  // the freshly cloned tree. remap_onto degrades to nullptr (re-analyze) if
-  // a pointer is not covered; a negative verdict is pointer-free and always
-  // carries.
-  if (s.fused_plan) out->fused_plan = remap_onto(*s.fused_plan, remap);
-  out->fused_rejected = s.fused_rejected;
-  out->memo_key = s.memo_key;
-  return out;
-}
-
-}  // namespace
-
-ExprPtr Expr::clone() const {
-  ExprRemap remap;
-  return clone_expr(*this, remap);
 }
 
 namespace {
@@ -137,11 +56,6 @@ void walk_refs(const SelectStmt& s,
 void for_each_table_ref(const SelectStmt& stmt,
                         const std::function<void(const TableRef&)>& fn) {
   walk_refs(stmt, fn);
-}
-
-std::unique_ptr<SelectStmt> SelectStmt::clone() const {
-  ExprRemap remap;
-  return clone_select(*this, remap);
 }
 
 std::string Expr::to_string() const {

@@ -79,8 +79,6 @@ struct Expr {
 
   std::size_t alias_index = 0;
 
-  /// Structural deep copy (used when ORDER BY aliases expand to items).
-  [[nodiscard]] ExprPtr clone() const;
   /// Debug / display rendering, also used to derive result column names.
   [[nodiscard]] std::string to_string() const;
 };
@@ -130,15 +128,8 @@ struct CommonTableExpr {
   support::SourceLoc loc;
 };
 
-/// Executor-side hot-plan annotation (defined in db/sql/plan.hpp): the
-/// structural analysis behind the one columnar evaluator. Opaque here so
-/// the AST header stays free of plan details; ast.cpp and the executor
-/// include plan.hpp.
-struct FusedPlan;
-/// Executor-side resolution caches (defined in the executor): a SELECT
-/// node's resolved sources, and a WITH clause's materialization schedule.
-struct SelectResolution;
-struct CteSchedule;
+/// Executor-side plan of one SELECT node (defined in the executor).
+struct SelectPlan;
 
 struct SelectStmt {
   std::vector<CommonTableExpr> ctes;  // statement-level WITH, in order
@@ -153,42 +144,24 @@ struct SelectStmt {
   std::optional<std::size_t> limit;
   std::optional<std::size_t> offset;
 
-  /// Hot-plan annotation, filled lazily by the executor the first time this
-  /// statement proves eligible for the columnar evaluator: an aggregate over
-  /// one columnar base table, GROUP BY with zero or more keys, every WHERE
-  /// compiled to one VM program. Structural analysis only — per-execution
-  /// decisions such as partition pruning and constant binding are
-  /// recomputed every run. `fused_rejected` caches a negative verdict so
-  /// ineligible statements are analyzed once. Mutable because execution
-  /// works on const statements; safe under the executor's concurrency
-  /// contract (concurrent execution only of DISTINCT prepared statements).
-  /// The plan holds pointers into this statement's expression tree; clone()
-  /// carries it by remapping every pointer onto the cloned tree, so a copy
-  /// of an executed statement starts hot instead of re-analyzing. (The COSY
-  /// plan cache shares SQL text, not statements: each evaluator prepares its
-  /// own, and each warms its own annotations.)
-  mutable std::shared_ptr<const FusedPlan> fused_plan;
-  mutable bool fused_rejected = false;
-
-  /// Resolution cache, written by this node's first execution: its sources
-  /// (table handles with PARTITION selectors, or CTEs with the columns bound
-  /// against), slot bases and parameter count, valid for one catalog
-  /// generation. A later execution skips binding when its FROM/JOIN names
-  /// still resolve the same way, and rebinds (replacing the cache) when not.
-  /// Not carried by clone(): a copy resolves on its first execution.
-  mutable std::shared_ptr<const SelectResolution> resolution;
-  /// WITH-clause schedule (dependency lists, scan-estimate tables), derived
-  /// once per catalog generation. Not carried by clone().
-  mutable std::shared_ptr<const CteSchedule> cte_schedule;
+  /// The node's plan, written by its first execution and replaced whole by
+  /// any later one that must rebind (after DDL, or when a FROM/JOIN name
+  /// resolves differently): its resolved sources (table handles with
+  /// PARTITION selectors, or CTEs with the columns bound against), slot
+  /// bases and parameter count, its WITH schedule, and its fused verdict
+  /// (the columnar evaluator's plan, or the row path). One
+  /// catalog-generation stamp covers all of it. The plan holds pointers into
+  /// this node's expression tree, so it lives and dies with the node; every
+  /// SELECT node (statement, WITH body, scalar subquery) carries its own.
+  /// Mutable: an execution annotation, not part of the statement's SQL;
+  /// safe under the executor's concurrency contract (concurrent execution
+  /// only of DISTINCT prepared statements).
+  mutable std::shared_ptr<const SelectPlan> plan;
   /// Structural key of a scalar subquery for the per-execution memo,
   /// rendered before the node first executes (execution expands stars and
   /// rewrites ORDER BY ordinals, which would change a later rendering).
-  /// Empty until then; clone() carries it.
+  /// Empty until then.
   mutable std::string memo_key;
-
-  /// Structural deep copy. Carries the fused-plan annotation (expression
-  /// pointers remapped onto the cloned tree) and the memo key.
-  [[nodiscard]] std::unique_ptr<SelectStmt> clone() const;
 };
 
 /// Visits every TableRef of one SELECT — FROM, every JOIN, and every

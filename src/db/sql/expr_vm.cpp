@@ -708,18 +708,6 @@ std::optional<ExprProgram::Bound> ExprProgram::bind_constants(
   return out;
 }
 
-std::shared_ptr<const ExprProgram> ExprProgram::remapped(
-    const ExprRemap& map) const {
-  auto out = std::make_shared<ExprProgram>(*this);
-  for (auto& slot : out->consts_) {
-    if (slot.expr == nullptr) continue;
-    const auto it = map.find(slot.expr);
-    if (it == map.end()) return nullptr;
-    slot.expr = it->second;
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Interpreter
 

@@ -8,7 +8,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "db/sql/ast.hpp"
@@ -16,12 +15,6 @@
 #include "db/value.hpp"
 
 namespace kojak::db::sql {
-
-/// Old-expression-node → new-expression-node map produced by a plan-carrying
-/// clone: `SelectStmt::clone()` records every Expr it copies, so plan
-/// annotations (whose `const Expr*` members reference the source tree) can be
-/// re-targeted onto the copy.
-using ExprRemap = std::unordered_map<const Expr*, const Expr*>;
 
 /// SQL LIKE with '%' (any run) and '_' (single char). Shared by the row-path
 /// interpreter and the batch VM so both agree on every pattern.
@@ -106,7 +99,7 @@ class ExprProgram {
   /// A runtime-constant slot: a literal (expr == nullptr for the canonical
   /// NULL register, value baked in) or a param / scalar-subquery expression
   /// re-evaluated per execution. `type` is the lane type recorded at
-  /// compile time; plan remapping translates `expr` across `clone()`.
+  /// compile time.
   struct ConstSlot {
     const Expr* expr = nullptr;
     ValueType type = ValueType::kNull;
@@ -199,12 +192,6 @@ class ExprProgram {
              std::span<const Table::ColumnSlice> columns,
              const std::uint8_t* demand, std::size_t begin,
              std::size_t end) const;
-
-  /// Copies the program with every constant-slot expression pointer
-  /// translated through `map` (plan carry across `SelectStmt::clone`).
-  /// Returns nullptr when a pointer is missing from the map.
-  [[nodiscard]] std::shared_ptr<const ExprProgram> remapped(
-      const ExprRemap& map) const;
 
  private:
   friend class ProgramBuilder;

@@ -881,33 +881,12 @@ TEST(Columnar, GlobalAggregateEdgeCasesOnBothLayouts) {
   }
 }
 
-TEST(Columnar, FusedPlanSurvivesClone) {
+TEST(Columnar, InPlaceScalarSubqueryReusesItsFusedPlan) {
   Database db = make_columnar_db(4, 50);
 
-  // First execution analyzes the statement and caches the plan on its AST.
-  kdb::sql::Statement parsed =
-      kdb::sql::parse_single("SELECT COUNT(*) FROM ct WHERE v >= 30");
-  auto& sel = std::get<kdb::sql::SelectStmt>(parsed);
-  EXPECT_EQ(db.execute(parsed).scalar().as_int(), 40);
-  ASSERT_NE(sel.fused_plan, nullptr);
-
-  // clone() carries the plan by remapping its expression pointers onto the
-  // copied tree, so the clone's first execution is already a cache hit.
-  std::unique_ptr<kdb::sql::SelectStmt> copy = sel.clone();
-  ASSERT_NE(copy->fused_plan, nullptr);
-  kdb::sql::Statement cloned{std::move(*copy)};
-  const auto before = db.exec_stats();
-  EXPECT_EQ(db.execute(cloned).scalar().as_int(), 40);
-  const auto after = db.exec_stats();
-  EXPECT_EQ(after.fused_plan_evals - before.fused_plan_evals, 1u);
-}
-
-TEST(Columnar, ScalarSubqueryPlanBackPropagates) {
-  Database db = make_columnar_db(4, 50);
-
-  // Scalar subqueries execute on a clone of their AST; the verdict the
-  // clone's execution produced must flow back to the prepared statement so
-  // the second execution's clone starts pre-analyzed.
+  // Scalar subqueries run in place on the prepared statement's own
+  // subquery node, so the fused plan the first execution analyzed stays on
+  // that node and the second execution reuses it.
   kdb::PreparedStatement stmt =
       db.prepare("SELECT (SELECT COUNT(*) FROM ct WHERE v >= 30)");
   const auto b1 = db.exec_stats();
@@ -1261,6 +1240,57 @@ TEST(ResolutionCache, RecreatedColumnarTableReanalyzesTheFusedPlan) {
   EXPECT_EQ(after.fused_plan_evals - before.fused_plan_evals, 0u);
   EXPECT_DOUBLE_EQ(db.execute(stmt).scalar().as_double(), 3.0);
   EXPECT_EQ(db.exec_stats().fused_plan_evals - after.fused_plan_evals, 1u);
+}
+
+TEST(ResolutionCache, RecreatedTableInAnotherStorageModeGetsAFreshVerdict) {
+  // The row-path verdict is part of the node's plan, so DDL replaces it
+  // like every other resolved fact: a statement first run on a row table
+  // goes columnar once the table is re-created columnar, and back.
+  Database db;
+  db.execute(
+      "CREATE TABLE t (a INTEGER);"
+      "INSERT INTO t VALUES (1), (2), (3);");
+  kdb::PreparedStatement stmt = db.prepare("SELECT SUM(a) FROM t");
+  auto before = db.exec_stats();
+  EXPECT_DOUBLE_EQ(db.execute(stmt).scalar().as_double(), 6.0);
+  auto after = db.exec_stats();
+  EXPECT_EQ(after.columnar_scans - before.columnar_scans, 0u);
+
+  db.execute(
+      "DROP TABLE t;"
+      "CREATE TABLE t (a INTEGER) STORAGE COLUMNAR;"
+      "INSERT INTO t VALUES (1), (2), (3);");
+  before = db.exec_stats();
+  EXPECT_DOUBLE_EQ(db.execute(stmt).scalar().as_double(), 6.0);
+  after = db.exec_stats();
+  EXPECT_EQ(after.columnar_scans - before.columnar_scans, 1u);
+
+  db.execute(
+      "DROP TABLE t;"
+      "CREATE TABLE t (a INTEGER);"
+      "INSERT INTO t VALUES (1), (2), (3);");
+  before = db.exec_stats();
+  EXPECT_DOUBLE_EQ(db.execute(stmt).scalar().as_double(), 6.0);
+  after = db.exec_stats();
+  EXPECT_EQ(after.columnar_scans - before.columnar_scans, 0u);
+}
+
+TEST(ResolutionCache, InjectedNameWithoutAWithEntryIsIgnored) {
+  // Injected results replace same-named WITH entries only; any other name
+  // stays invisible to the statement.
+  Database db = make_db();
+  const QueryResult rows = db.execute("SELECT id FROM emp");
+  kdb::PreparedStatement prepared = db.prepare("SELECT COUNT(*) FROM extra");
+  auto& stmt = std::get<kojak::db::sql::SelectStmt>(prepared.ast());
+  const Database::InjectedCte inject[] = {{"extra", &rows}};
+  try {
+    (void)db.execute_select_with(stmt, {}, inject);
+    FAIL() << "expected EvalError";
+  } catch (const EvalError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown table 'extra'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ResolutionCache, TooFewParametersThrowOnEveryExecution) {

@@ -183,16 +183,6 @@ TEST(SqlParser, WithClauseShape) {
   EXPECT_EQ(select.items.size(), 2u);
 }
 
-TEST(SqlParser, WithCloneDeepCopies) {
-  const auto stmt = sql::parse_single(
-      "WITH a AS (SELECT COUNT(*) v FROM t) SELECT (SELECT v FROM a)");
-  const auto& select = std::get<sql::SelectStmt>(stmt);
-  const auto copy = select.clone();
-  ASSERT_EQ(copy->ctes.size(), 1u);
-  EXPECT_EQ(copy->ctes[0].name, "a");
-  EXPECT_NE(copy->ctes[0].select.get(), select.ctes[0].select.get());
-}
-
 TEST(SqlParser, WithDuplicateNamesRejectedWithDiagnostic) {
   try {
     (void)sql::parse_sql(
@@ -296,15 +286,6 @@ TEST(SqlParser, PrecedenceAndOr) {
   const auto& e = *std::get<sql::SelectStmt>(stmt).items[0].expr;
   EXPECT_EQ(e.bin_op, sql::BinOp::kOr);
   EXPECT_EQ(e.rhs->bin_op, sql::BinOp::kAnd);
-}
-
-TEST(SqlParser, CloneDeepCopies) {
-  const auto stmt = sql::parse_single("SELECT a + 1 FROM t WHERE b = 2");
-  const auto& select = std::get<sql::SelectStmt>(stmt);
-  const auto copy = select.clone();
-  EXPECT_EQ(copy->items.size(), select.items.size());
-  EXPECT_NE(copy->items[0].expr.get(), select.items[0].expr.get());
-  EXPECT_EQ(copy->items[0].expr->to_string(), select.items[0].expr->to_string());
 }
 
 TEST(SqlParser, ToStringStable) {
@@ -431,12 +412,6 @@ TEST(SqlParser, PartitionSelectorOnTableRefs) {
   const auto aliased = sql::parse_single("SELECT 1 FROM t PARTITION");
   EXPECT_EQ(std::get<sql::SelectStmt>(aliased).from->alias, "PARTITION");
   EXPECT_FALSE(std::get<sql::SelectStmt>(aliased).from->partition.has_value());
-
-  // The selector survives statement cloning (subquery materialization
-  // executes clones).
-  const auto cloned = std::get<sql::SelectStmt>(stmt).clone();
-  ASSERT_TRUE(cloned->from->partition.has_value());
-  EXPECT_EQ(*cloned->from->partition, 2u);
 
   // Selector index must be a non-negative integer literal.
   EXPECT_THROW((void)sql::parse_single("SELECT 1 FROM t PARTITION (x)"),
