@@ -136,7 +136,7 @@ EpochReport Monitor::evaluate() {
   // Shared gate for the whole pass: ingest batches queue up behind it, so
   // every statement of the pass sees the same store epoch.
   const db::Database::ReadSnapshot snapshot = database.snapshot();
-  const auto before = database.exec_stats();
+  const ShardResultCache::Stats before = shard_cache_.stats();
 
   // The backend is created on the first pass and kept: a steady-state pass
   // reuses its evaluators' prepared statements instead of re-parsing every
@@ -156,20 +156,18 @@ EpochReport Monitor::evaluate() {
   std::vector<PropertyResult> results(watches_.size());
   backend_->evaluate_all(requests, results);
 
-  const auto after = database.exec_stats();
+  const ShardResultCache::Stats after = shard_cache_.stats();
 
   EpochReport report;
   report.epoch = snapshot.epoch();
   report.pass = ++passes_;
   report.rows_ingested = rows_since_eval_;
   rows_since_eval_ = 0;
-  report.shard_cache_hits = after.shard_cache_hits - before.shard_cache_hits;
-  report.shard_cache_misses =
-      after.shard_cache_misses - before.shard_cache_misses;
-  report.dirty_partitions_recomputed = after.dirty_partitions_recomputed -
-                                       before.dirty_partitions_recomputed;
-  report.statements_memoized =
-      after.statements_memoized - before.statements_memoized;
+  report.shard_cache_hits = after.hits - before.hits;
+  report.shard_cache_misses = after.misses - before.misses;
+  report.dirty_partitions_recomputed =
+      after.dirty_recomputes - before.dirty_recomputes;
+  report.statements_memoized = after.statement_hits - before.statement_hits;
 
   std::map<std::pair<std::string, std::string>, PropertyResult> current;
   for (std::size_t i = 0; i < watches_.size(); ++i) {

@@ -86,12 +86,14 @@ struct EpochReport {
   /// Changes since the previous pass, in watch-registration order. The
   /// first pass reports every holding context as kRaised.
   std::vector<FindingDelta> deltas;
-  /// exec_stats deltas over this pass (shard-result cache effectiveness).
+  /// ShardResultCache::Stats deltas over this pass: partition entries
+  /// served, recomputed, and recomputed over a stale entry (hits, misses,
+  /// dirty_recomputes).
   std::uint64_t shard_cache_hits = 0;
   std::uint64_t shard_cache_misses = 0;
   std::uint64_t dirty_partitions_recomputed = 0;
   /// Watched statements whose whole read set was version-unchanged — served
-  /// from the statement memo without executing at all.
+  /// from the statement memo without executing at all (statement_hits).
   std::uint64_t statements_memoized = 0;
 
   /// Human-readable pass summary plus one line per delta (what

@@ -14,18 +14,25 @@ namespace kojak::cosy {
 
 /// Cross-epoch cache of materialized per-partition `part<K>` CTE results —
 /// the storage half of incremental re-evaluation. The whole-condition
-/// pipeline materializes full-table aggregates as one CTE per partition
-/// (PR 5); those sub-results are pure functions of
-///   (shard body SQL + bound parameters, referenced data versions),
+/// pipeline materializes full-table aggregates as one CTE per partition;
+/// those sub-results are pure functions of
+///   (catalog state, shard body + bound parameters, referenced data versions),
 /// so a monitor that re-runs the same plan after an ingest batch only needs
 /// to recompute the partitions whose version token moved.
 ///
 /// Keying: `fingerprint` identifies the *computation* — the caller builds it
-/// from the rendered shard body text, the bound wire parameters, and the
-/// owning database's identity/layout — while `version` is the data token
-/// (the pinned partition's version combined with the versions of every other
-/// table the body joins). The cache itself only compares tokens for
-/// equality; all soundness reasoning lives with the caller (SqlEvaluator).
+/// from Database::catalog_generation(), the body's sql::structural_key text
+/// and the bound values at the key's parameter indices — while `version` is
+/// the data token (the pinned partition's version combined with the
+/// versions of every other table the body joins). The generation is
+/// process-unique and renewed by every CREATE and DROP, so entries never
+/// cross databases or outlive the tables they were computed from. The cache
+/// itself only compares tokens for equality; all soundness reasoning lives
+/// with the caller (SqlEvaluator).
+///
+/// Stats are the one count of this cache's traffic: Monitor reports their
+/// per-pass deltas in EpochReport, and the engine's exec_stats() carries
+/// none of them.
 ///
 /// Results are held behind shared_ptr so an entry handed out for CTE
 /// injection stays alive even if a concurrent store() replaces it.

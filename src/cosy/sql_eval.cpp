@@ -11,7 +11,6 @@
 #include "cosy/db_import.hpp"
 #include "cosy/schema_gen.hpp"
 #include "cosy/shard_cache.hpp"
-#include "db/sql/render.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 
@@ -2080,15 +2079,30 @@ SqlEvaluator::StatementEntry& SqlEvaluator::entry_for(
   return it->second;
 }
 
+namespace {
+
+/// Appends one bound value to a shard-cache fingerprint: type tag, length
+/// and display text, so `1` and `1.0`, or a string holding the separator,
+/// never spell the same fingerprint.
+void append_value_key(std::string& fp, const db::Value& value) {
+  const std::string shown = value.to_display();
+  fp += '|';
+  fp += static_cast<char>('0' + static_cast<int>(value.type()));
+  fp += std::to_string(shown.size());
+  fp += ':';
+  fp += shown;
+}
+
+}  // namespace
+
 void SqlEvaluator::ensure_shard_analysis(db::PreparedStatement& stmt,
                                          ShardCteAnalysis& analysis) {
-  if (analysis.done && analysis.layout == layout_) return;
+  db::Database& db = conn_->database();
+  if (analysis.catalog == db.catalog_generation()) return;
   analysis = {};
-  analysis.done = true;
-  analysis.layout = layout_;
+  analysis.catalog = db.catalog_generation();
   auto* select = std::get_if<db::sql::SelectStmt>(&stmt.ast());
   if (select == nullptr) return;
-  db::Database& db = conn_->database();
 
   // Whole-statement memo refs: every SELECT in the statement (outer + CTE
   // bodies, recursively) and every CTE name — a ref that matches a CTE is
@@ -2123,8 +2137,7 @@ void SqlEvaluator::ensure_shard_analysis(db::PreparedStatement& stmt,
   if (memoable) analysis.memo_refs = std::move(memo_refs);
 
   // Cacheable CTEs: no nested CTEs, catalog tables only, at least one
-  // partition-pinned scan, and the body renders back to SQL text (the text
-  // keys the cache entry).
+  // partition-pinned scan.
   for (db::sql::CommonTableExpr& cte : select->ctes) {
     db::sql::SelectStmt& body = *cte.select;
     if (!body.ctes.empty()) continue;
@@ -2150,14 +2163,12 @@ void SqlEvaluator::ensure_shard_analysis(db::PreparedStatement& stmt,
     });
     if (!catalog_only || !pinned) continue;
     ShardCteAnalysis::Cte entry;
-    std::string text;
-    if (!db::sql::render_select_sql(body, text, entry.order)) continue;
-    // Fingerprint stem = database identity + layout + body text, fixed for
-    // the analysis lifetime (both invalidate it). The identity term scopes
-    // entries to one store; the layout term retires entries cleanly across
-    // DDL re-partitioning. Per pass only the bound-value tail is appended.
-    entry.stem = support::cat(reinterpret_cast<std::uintptr_t>(&db), "|",
-                              layout_, "|", text);
+    // Fingerprint stem = catalog generation + the body's structural key,
+    // fixed for the analysis lifetime. The generation is process-unique, so
+    // it scopes entries to one catalog state of one store; per pass only the
+    // bound values at the key's parameter indices are appended.
+    entry.stem = support::cat(*analysis.catalog, "|",
+                              db::sql::structural_key(body).text);
     entry.body = &body;
     entry.name = &cte.name;
     entry.pinned = *pinned;
@@ -2179,15 +2190,10 @@ bool SqlEvaluator::statement_memo_token(db::PreparedStatement& stmt,
     token += table->table_version();
   }
   if (analysis.memo_stem.empty()) {
-    analysis.memo_stem =
-        support::cat(reinterpret_cast<std::uintptr_t>(&conn_->database()), "|",
-                     layout_, "|", sql_text);
+    analysis.memo_stem = support::cat(*analysis.catalog, "|", sql_text);
   }
   fp = analysis.memo_stem;
-  for (const db::Value& value : values) {
-    fp += '|';
-    fp += value.to_display();
-  }
+  for (const db::Value& value : values) append_value_key(fp, value);
   version = token;
   return true;
 }
@@ -2199,10 +2205,10 @@ std::optional<db::QueryResult> SqlEvaluator::try_execute_with_shard_cache(
   if (select == nullptr || select->ctes.empty()) return std::nullopt;
   db::Database& db = conn_->database();
 
-  // The structural work — which CTEs are cacheable, their rendered text and
-  // version references — is done once per statement (ensure_shard_analysis)
-  // and reused every pass; only version tokens and the bound-value tail of
-  // the fingerprint are per-pass.
+  // The structural work — which CTEs are cacheable, their keys and version
+  // references — is done once per catalog generation
+  // (ensure_shard_analysis) and reused every pass; only version tokens and
+  // the bound-value tail of the fingerprint are per-pass.
   ensure_shard_analysis(stmt, analysis);
   if (analysis.ctes.empty()) return std::nullopt;
 
@@ -2212,12 +2218,6 @@ std::optional<db::QueryResult> SqlEvaluator::try_execute_with_shard_cache(
   };
   std::vector<Resolved> resolved;
   resolved.reserve(analysis.ctes.size());
-  std::uint64_t hits = 0;
-  // Bound values render once per statement, not once per CTE — every CTE of
-  // the statement binds from the same value vector (value formatting is the
-  // expensive part of fingerprint assembly).
-  std::vector<std::string> rendered(values.size());
-  std::vector<bool> rendered_done(values.size(), false);
   std::string fp;
   for (const ShardCteAnalysis::Cte& cte : analysis.ctes) {
     // Version token of the data the body reads: the pinned partition's
@@ -2230,37 +2230,27 @@ std::optional<db::QueryResult> SqlEvaluator::try_execute_with_shard_cache(
       version += ref.partition ? ref.table->partition_version(*ref.partition)
                                : ref.table->table_version();
     }
-    // Fingerprint = precomputed stem (database identity, layout, body text)
-    // + bound values in text order.
+    // Fingerprint = precomputed stem (generation, structural key) + the
+    // bound values at the key's parameter indices, in text order.
     fp.assign(cte.stem);
     bool params_ok = true;
-    for (const std::size_t index : cte.order) {
+    for (const std::size_t index : db::sql::structural_key(*cte.body).params) {
       if (index >= values.size()) {
         params_ok = false;
         break;
       }
-      if (!rendered_done[index]) {
-        rendered[index] = values[index].to_display();
-        rendered_done[index] = true;
-      }
-      fp += '|';
-      fp += rendered[index];
+      append_value_key(fp, values[index]);
     }
     if (!params_ok) continue;
-    ShardResultCache::Probe probe = shard_cache_->probe(fp, cte.pinned, version);
-    std::shared_ptr<const db::QueryResult> rows = std::move(probe.rows);
-    if (rows != nullptr) {
-      ++hits;
-    } else {
-      db.count_shard_cache_misses();
-      if (probe.stale) db.count_dirty_partitions_recomputed();
+    std::shared_ptr<const db::QueryResult> rows =
+        shard_cache_->probe(fp, cte.pinned, version).rows;
+    if (rows == nullptr) {
       rows = shard_cache_->store(fp, cte.pinned, version,
                                  db.execute_select_with(*cte.body, values, {}));
     }
     resolved.push_back({*cte.name, std::move(rows)});
   }
   if (resolved.empty()) return std::nullopt;
-  if (hits > 0) db.count_shard_cache_hits(hits);
 
   // The residual merge executes with the resolved rows injected — one
   // charged statement, byte-identical to materializing the CTEs inline.
@@ -2372,7 +2362,6 @@ PropertyResult SqlEvaluator::evaluate_whole(const asl::PropertyInfo& prop,
       if (memoable) {
         if (std::shared_ptr<const db::QueryResult> rows =
                 shard_cache_->probe_statement(memo_fp, memo_version)) {
-          conn_->database().count_statements_memoized();
           return db::QueryResult(*rows);
         }
       }

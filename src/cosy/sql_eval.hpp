@@ -222,8 +222,10 @@ class SqlEvaluator {
   /// resolve their partition-pinned `part<K>` CTEs through the cache,
   /// recomputing only partitions whose version token moved since the last
   /// pass, and the residual merge executes with the cached rows injected
-  /// (byte-identical to a cold run; still one charged statement). The cache
-  /// must be used against a single Database and must outlive the evaluator.
+  /// (byte-identical to a cold run; still one charged statement). Every
+  /// fingerprint carries the catalog generation, so entries computed before
+  /// a CREATE or DROP are never served after it. The cache must outlive the
+  /// evaluator.
   void set_shard_cache(ShardResultCache* cache) noexcept {
     shard_cache_ = cache;
   }
@@ -244,14 +246,13 @@ class SqlEvaluator {
   friend class SqlExprEval;
 
   /// Once-per-statement analysis for the incremental (shard cache) path:
-  /// which CTE bodies are cacheable, their rendered text, parameter order,
-  /// pinned partition and version references — everything about the probe
-  /// that does not change between passes. Rebuilt when the database layout
-  /// fingerprint moves (a DDL re-partition invalidates pinned indices and
-  /// cached Table pointers).
+  /// which CTE bodies are cacheable, their pinned partition and version
+  /// references — everything about the probe that does not change between
+  /// passes. Stamped with Database::catalog_generation() and rebuilt when it
+  /// moves: any CREATE or DROP retires the cached Table pointers and, through
+  /// the stamp in every fingerprint, every cache entry computed before it.
   struct ShardCteAnalysis {
-    bool done = false;
-    std::uint64_t layout = 0;
+    std::optional<std::uint64_t> catalog;  ///< generation built under
     struct Ref {
       const db::Table* table = nullptr;
       std::optional<std::size_t> partition;  ///< pinned scan, else whole-table
@@ -259,8 +260,7 @@ class SqlEvaluator {
     struct Cte {
       db::sql::SelectStmt* body = nullptr;
       const std::string* name = nullptr;  ///< points into the statement AST
-      std::string stem;  ///< fingerprint prefix: db identity|layout|body text
-      std::vector<std::size_t> order;  ///< param indices in text order
+      std::string stem;  ///< fingerprint prefix: generation|structural key
       std::size_t pinned = 0;
       std::vector<Ref> refs;
     };
@@ -268,8 +268,8 @@ class SqlEvaluator {
     /// Whole-statement memo: every catalog table the statement reads
     /// (nullopt when some ref cannot be pinned to data — never memoize).
     std::optional<std::vector<const db::Table*>> memo_refs;
-    /// Memo fingerprint prefix (db identity|layout|statement text), built on
-    /// first use — the statement text never changes for a given analysis.
+    /// Memo fingerprint prefix (generation|statement text), built on first
+    /// use — the statement text never changes for a given analysis.
     std::string memo_stem;
   };
 
@@ -305,14 +305,14 @@ class SqlEvaluator {
   [[nodiscard]] std::optional<db::QueryResult> try_execute_with_shard_cache(
       db::PreparedStatement& stmt, ShardCteAnalysis& analysis,
       const std::vector<db::Value>& values);
-  /// (Re)builds `analysis` for the statement when absent or compiled against
-  /// a different layout fingerprint.
+  /// (Re)builds `analysis` for the statement when absent or built under a
+  /// different catalog generation.
   void ensure_shard_analysis(db::PreparedStatement& stmt,
                              ShardCteAnalysis& analysis);
   /// Whole-statement memo token: true when every table the statement reads
   /// (outer select, every CTE body, recursively) resolves in the catalog.
-  /// `fp` then identifies the computation (database identity, layout,
-  /// statement text, bound values) and `version` sums the whole-table
+  /// `fp` then identifies the computation (catalog generation, statement
+  /// text, bound values) and `version` sums the whole-table
   /// versions of everything read — unchanged token means the stored result
   /// is still exact and the statement need not run at all.
   [[nodiscard]] bool statement_memo_token(db::PreparedStatement& stmt,

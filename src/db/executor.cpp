@@ -92,18 +92,25 @@ struct CteScope {
   }
 };
 
-/// Memo keys view each subquery's cached structural key (SelectStmt::
-/// memo_key), which outlives the top-level execution, so a lookup allocates
-/// nothing.
+/// Memo keys point at each subquery's cached structural key (SelectStmt::
+/// key), which outlives the top-level execution, so a lookup allocates
+/// nothing. Equal text and equal parameter indices mean an equal result
+/// within one statement execution (subqueries are uncorrelated).
 struct MemoKey {
-  std::size_t visible = 0;  // CteScope::visible_count() at execution
-  std::string_view shape;   // the subquery's structural key
-  bool operator==(const MemoKey&) const = default;
+  std::size_t visible = 0;                    // CteScope::visible_count()
+  const sql::StructuralKey* shape = nullptr;  // the subquery's structural key
+  bool operator==(const MemoKey& other) const {
+    return visible == other.visible && *shape == *other.shape;
+  }
 };
 struct MemoKeyHash {
   std::size_t operator()(const MemoKey& key) const noexcept {
-    return std::hash<std::string_view>{}(key.shape) ^
-           (key.visible * 0x9e3779b97f4a7c15ULL);
+    std::size_t h = std::hash<std::string_view>{}(key.shape->text) ^
+                    (key.visible * 0x9e3779b97f4a7c15ULL);
+    for (const std::size_t index : key.shape->params) {
+      h = h * 31 + index;
+    }
+    return h;
   }
 };
 
@@ -1020,113 +1027,6 @@ std::vector<std::pair<std::size_t, std::size_t>> columnar_join_pairs(
 }
 
 // ---------------------------------------------------------------------------
-// Structural keys for the uncorrelated-subquery memo. Unlike
-// Expr::to_string, this rendering is unambiguous: parameters carry their
-// index, literals their type tag, and nested subqueries render in full —
-// equal keys mean equal results within one statement execution (subqueries
-// are uncorrelated, so nothing row-dependent can appear in them).
-
-void subquery_key(const sql::SelectStmt& s, std::string& out);
-
-void subquery_key(const Expr& e, std::string& out) {
-  out += static_cast<char>('A' + static_cast<int>(e.kind));
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      out += static_cast<char>('0' + static_cast<int>(e.literal.type()));
-      out += e.literal.to_display();
-      break;
-    case Expr::Kind::kColumnRef:
-      out += e.table;
-      out += '.';
-      out += e.column;
-      break;
-    case Expr::Kind::kParam:
-      out += std::to_string(e.param_index);
-      break;
-    case Expr::Kind::kUnary:
-      out += static_cast<char>('0' + static_cast<int>(e.un_op));
-      break;
-    case Expr::Kind::kBinary:
-      out += static_cast<char>('0' + static_cast<int>(e.bin_op));
-      break;
-    case Expr::Kind::kFuncCall:
-      out += e.func;
-      if (e.star_arg) out += '*';
-      if (e.distinct_arg) out += '!';
-      break;
-    case Expr::Kind::kIsNull:
-    case Expr::Kind::kInList:
-    case Expr::Kind::kLike:
-      if (e.negated) out += '!';
-      break;
-    case Expr::Kind::kSubquery:
-      subquery_key(*e.subquery, out);
-      break;
-    case Expr::Kind::kAliasRef:
-      out += std::to_string(e.alias_index);
-      break;
-  }
-  out += '(';
-  if (e.lhs) subquery_key(*e.lhs, out);
-  out += ',';
-  if (e.rhs) subquery_key(*e.rhs, out);
-  for (const auto& arg : e.args) {
-    out += ',';
-    subquery_key(*arg, out);
-  }
-  out += ')';
-}
-
-void subquery_key(const sql::SelectStmt& s, std::string& out) {
-  out += s.distinct ? "S!" : "S";
-  for (const auto& item : s.items) {
-    if (item.star) {
-      out += '*';
-      out += item.star_table;
-    } else {
-      subquery_key(*item.expr, out);
-    }
-    out += ',';
-  }
-  const auto table_ref_key = [&out](const sql::TableRef& ref) {
-    out += ref.table;
-    // `t PARTITION (0)` and `t PARTITION (1)` scan different rows; the
-    // selector must split the memo key or the second one would be served
-    // the first one's result.
-    if (ref.partition) out += support::cat("#p", *ref.partition);
-    out += ' ';
-    out += ref.alias;
-  };
-  if (s.from) {
-    out += "F";
-    table_ref_key(*s.from);
-  }
-  for (const auto& join : s.joins) {
-    out += "J";
-    table_ref_key(join.table);
-    if (join.on) subquery_key(*join.on, out);
-  }
-  if (s.where) {
-    out += "W";
-    subquery_key(*s.where, out);
-  }
-  for (const auto& g : s.group_by) {
-    out += "G";
-    subquery_key(*g, out);
-  }
-  if (s.having) {
-    out += "H";
-    subquery_key(*s.having, out);
-  }
-  for (const auto& key : s.order_by) {
-    out += key.descending ? "Od" : "Oa";
-    subquery_key(*key.expr, out);
-  }
-  if (s.limit) out += support::cat("L", *s.limit);
-  if (s.offset) out += support::cat("K", *s.offset);
-}
-
-// ---------------------------------------------------------------------------
 // SELECT execution
 
 class SelectExec {
@@ -1558,14 +1458,13 @@ class SelectExec {
 
   void materialize_one(const Expr& e) {
     if (e.kind == Expr::Kind::kSubquery) {
-      // Memo key: the node's structural rendering (cached on first use,
-      // before its execution can expand stars or rewrite ordinals) plus the
-      // number of CTE entries visible right now — a name can resolve to a
-      // table before a shadowing CTE materializes and to the CTE afterwards,
-      // and the count tells those two moments apart.
+      // Memo key: the node's structural key (cached on first use, before
+      // its execution can expand stars or rewrite ordinals) plus the number
+      // of CTE entries visible right now — a name can resolve to a table
+      // before a shadowing CTE materializes and to the CTE afterwards, and
+      // the count tells those two moments apart.
       sql::SelectStmt& sub = *e.subquery;
-      if (sub.memo_key.empty()) subquery_key(sub, sub.memo_key);
-      const MemoKey key{scope_.visible_count(), sub.memo_key};
+      const MemoKey key{scope_.visible_count(), &sql::structural_key(sub)};
       const auto hit = env_->subquery_memo.find(key);
       if (hit != env_->subquery_memo.end()) {
         db_.count_subquery_memo_hits();
@@ -1899,17 +1798,17 @@ class SelectExec {
   /// key expression take that key's value (recorded in plan.key_refs for
   /// EvalCtx pinning), and plain column refs must be plain-column GROUP BY
   /// keys (the synthesized representative row carries those). `key_strs`
-  /// holds each program key's structural rendering ("" for column keys).
+  /// holds each program key's structural key (empty for column keys).
   [[nodiscard]] bool grouped_refs_covered(
       const Expr& e, const ScanSource& base, sql::FusedPlan& plan,
-      const std::vector<std::string>& key_strs) const {
+      const std::vector<sql::StructuralKey>& key_strs) const {
     if (e.kind == Expr::Kind::kFuncCall && Binder::is_aggregate_name(e.func)) {
       return true;  // argument columns feed the kernels, not the output row
     }
-    std::string rendered;
+    sql::StructuralKey rendered;
     for (std::size_t k = 0; k < key_strs.size(); ++k) {
-      if (key_strs[k].empty()) continue;
-      if (rendered.empty()) subquery_key(e, rendered);
+      if (key_strs[k].text.empty()) continue;
+      if (rendered.text.empty()) sql::append_key(e, rendered);
       if (rendered == key_strs[k]) {
         plan.key_refs.emplace_back(&e, k);
         return true;
@@ -1951,7 +1850,7 @@ class SelectExec {
     auto plan = std::make_unique<sql::FusedPlan>();
     plan->column_types = column_type_snapshot(*base.table);
 
-    std::vector<std::string> key_strs;  // "" for plain-column keys
+    std::vector<sql::StructuralKey> key_strs;  // empty for column keys
     for (const auto& g : stmt_.group_by) {
       sql::FusedPlan::GroupKey key;
       key_strs.emplace_back();
@@ -1962,7 +1861,7 @@ class SelectExec {
       } else {
         key.program = compile_program(*g, base, plan->column_types);
         if (key.program == nullptr) return nullptr;
-        subquery_key(*g, key_strs.back());
+        sql::append_key(*g, key_strs.back());
       }
       plan->group_keys.push_back(std::move(key));
     }

@@ -131,6 +131,24 @@ struct CommonTableExpr {
 /// Executor-side plan of one SELECT node (defined in the executor).
 struct SelectPlan;
 
+/// Structural key of a SELECT node or an expression: an unambiguous
+/// rendering of its tree in which every placeholder is written as `?` and
+/// its absolute param_index recorded in `params`, in text order. Literals
+/// carry their type, table refs their PARTITION selector and alias, select
+/// items their alias (a CTE's result columns are looked up by name), and
+/// nested subqueries render in full. Two nodes with equal keys compute the
+/// same rows from the same catalog and the same values at `params`, so the
+/// key text alone names one computation at any parameter offset.
+struct StructuralKey {
+  std::string text;
+  std::vector<std::size_t> params;
+  bool operator==(const StructuralKey&) const = default;
+};
+
+/// Appends the structural key of `e` / `s` to `out`.
+void append_key(const Expr& e, StructuralKey& out);
+void append_key(const SelectStmt& s, StructuralKey& out);
+
 struct SelectStmt {
   std::vector<CommonTableExpr> ctes;  // statement-level WITH, in order
   bool distinct = false;
@@ -157,12 +175,15 @@ struct SelectStmt {
   /// safe under the executor's concurrency contract (concurrent execution
   /// only of DISTINCT prepared statements).
   mutable std::shared_ptr<const SelectPlan> plan;
-  /// Structural key of a scalar subquery for the per-execution memo,
-  /// rendered before the node first executes (execution expands stars and
-  /// rewrites ORDER BY ordinals, which would change a later rendering).
-  /// Empty until then.
-  mutable std::string memo_key;
+  /// The node's structural key, filled by structural_key() on first use.
+  /// Callers take it before the node first executes (execution expands
+  /// stars and rewrites ORDER BY aliases, which would change a later
+  /// rendering). Empty until then.
+  mutable StructuralKey key;
 };
+
+/// `s.key`, computed on first use.
+[[nodiscard]] const StructuralKey& structural_key(const SelectStmt& s);
 
 /// Visits every TableRef of one SELECT — FROM, every JOIN, and every
 /// expression position (WHERE, items, GROUP BY, HAVING, ORDER BY, join

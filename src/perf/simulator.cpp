@@ -138,11 +138,13 @@ class RunSimulator {
 
     std::vector<double> excl(P, 0.0);
     std::vector<double> ovhd_nonbarrier(P, 0.0);
+    // Every lane is sized up front: pooled PEs charge concurrently, and
+    // each writes only its own slot. Uncharged lanes stay zero, and adding
+    // +0.0 to the summaries below leaves them bit-identical.
     std::array<std::vector<double>, kTimingTypeCount> typed;
+    for (auto& lane : typed) lane.assign(P, 0.0);
     const auto charge = [&](TimingType type, std::size_t pe, double ms) {
-      auto& lane = typed[static_cast<std::size_t>(type)];
-      if (lane.empty()) lane.assign(P, 0.0);
-      lane[pe] += ms;
+      typed[static_cast<std::size_t>(type)][pe] += ms;
       ovhd_nonbarrier[pe] += ms;
     };
 
@@ -302,9 +304,7 @@ class RunSimulator {
       acc.incl_sum += result.incl[pe];
     }
     for (std::size_t t = 0; t < kTimingTypeCount; ++t) {
-      if (!typed[t].empty()) {
-        for (std::size_t pe = 0; pe < P; ++pe) acc.typed[t] += typed[t][pe];
-      }
+      for (std::size_t pe = 0; pe < P; ++pe) acc.typed[t] += typed[t][pe];
     }
     if (spec.barrier_count > 0) {
       for (std::size_t pe = 0; pe < P; ++pe) {

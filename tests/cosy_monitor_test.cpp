@@ -5,6 +5,8 @@
 // reports stay byte-identical to a cold full recompute at the same epoch
 // across 1/2/8 scan threads, and a concurrent appender thread never tears a
 // snapshot: every captured epoch replays quiesced to the identical report.
+// A table dropped and re-created between passes is never answered from what
+// the cache computed on the dropped one.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "cosy/monitor.hpp"
 #include "cosy/schema_gen.hpp"
 #include "cosy/shard_cache.hpp"
+#include "cosy/sql_eval.hpp"
 #include "db/connection.hpp"
 #include "support/str.hpp"
 
@@ -189,22 +192,21 @@ TEST(ShardCache, OnlyDirtyPartitionsRecompute) {
       cosy::EvalBackend::create("sql-whole-condition", deps);
 
   // Cold pass: all 8 part<K> CTEs compute and enter the cache.
-  const auto s0 = database.exec_stats();
+  const auto s0 = cache.stats();
   const asl::PropertyResult cold = backend->evaluate(*load, args);
-  const auto s1 = database.exec_stats();
-  EXPECT_EQ(s1.shard_cache_misses - s0.shard_cache_misses, 8u);
-  EXPECT_EQ(s1.shard_cache_hits - s0.shard_cache_hits, 0u);
-  EXPECT_EQ(s1.dirty_partitions_recomputed - s0.dirty_partitions_recomputed,
-            0u);
+  const auto s1 = cache.stats();
+  EXPECT_EQ(s1.misses - s0.misses, 8u);
+  EXPECT_EQ(s1.hits - s0.hits, 0u);
+  EXPECT_EQ(s1.dirty_recomputes - s0.dirty_recomputes, 0u);
 
   // Unchanged store: the whole-statement memo answers before any shard
   // probe runs — no hits, no misses, one memoized statement, byte-identical
   // result.
   const asl::PropertyResult warm = backend->evaluate(*load, args);
-  const auto s2 = database.exec_stats();
-  EXPECT_EQ(s2.shard_cache_hits - s1.shard_cache_hits, 0u);
-  EXPECT_EQ(s2.shard_cache_misses - s1.shard_cache_misses, 0u);
-  EXPECT_EQ(s2.statements_memoized - s1.statements_memoized, 1u);
+  const auto s2 = cache.stats();
+  EXPECT_EQ(s2.hits - s1.hits, 0u);
+  EXPECT_EQ(s2.misses - s1.misses, 0u);
+  EXPECT_EQ(s2.statement_hits - s1.statement_hits, 1u);
   EXPECT_EQ(render_result(warm), render_result(cold));
 
   // Dirty exactly one partition: one new link from fleet0 to an existing
@@ -217,11 +219,10 @@ TEST(ShardCache, OnlyDirtyPartitionsRecompute) {
                    db::Value::integer(static_cast<std::int64_t>(member))});
 
   const asl::PropertyResult dirty = backend->evaluate(*load, args);
-  const auto s3 = database.exec_stats();
-  EXPECT_EQ(s3.shard_cache_hits - s2.shard_cache_hits, 7u);
-  EXPECT_EQ(s3.shard_cache_misses - s2.shard_cache_misses, 1u);
-  EXPECT_EQ(s3.dirty_partitions_recomputed - s2.dirty_partitions_recomputed,
-            1u);
+  const auto s3 = cache.stats();
+  EXPECT_EQ(s3.hits - s2.hits, 7u);
+  EXPECT_EQ(s3.misses - s2.misses, 1u);
+  EXPECT_EQ(s3.dirty_recomputes - s2.dirty_recomputes, 1u);
   // The recompute saw the new row: fleet0's SUM grew by probe T = 0.5
   // exactly (dyadic), and matches a cache-free evaluation byte for byte.
   EXPECT_EQ(dirty.severity, cold.severity + 0.5);
@@ -230,6 +231,95 @@ TEST(ShardCache, OnlyDirtyPartitionsRecompute) {
   const std::unique_ptr<cosy::EvalBackend> reference =
       cosy::EvalBackend::create("sql-whole-condition", cold_deps);
   EXPECT_EQ(render_result(dirty), render_result(reference->evaluate(*load, args)));
+}
+
+// ---------------------------------------------------------------------------
+// Shard-result cache across DDL: a dropped and re-created table is new data.
+// Its versions restart, so only the catalog generation in every fingerprint
+// and analysis stamp keeps the old table's results (and handles) out.
+
+namespace {
+
+/// Drops Probe and re-creates it with the same columns and id index, then
+/// refills it with the same ids and slots at T = 2.0. The refill writes as
+/// many rows as the import did, so every version token comes back equal.
+void recreate_probes_hot(db::Connection& conn) {
+  const std::string ddl =
+      conn.database().find_table("Probe")->schema().to_ddl();
+  const db::QueryResult probes = conn.execute("SELECT id, Slot FROM Probe");
+  conn.execute("DROP TABLE Probe");
+  conn.execute(ddl);
+  conn.execute("CREATE INDEX idx_Probe_id ON Probe (id)");
+  for (const db::Row& row : probes.rows) {
+    conn.execute("INSERT INTO Probe (id, Slot, T) VALUES (?, ?, ?)",
+                 std::vector<db::Value>{row[0], row[1], db::Value::real(2.0)});
+  }
+}
+
+struct DdlFixture {
+  FleetWorld world{4, 40};
+  db::Database database;
+  db::Connection conn{database, db::ConnectionProfile::in_memory()};
+  const asl::PropertyInfo* load = nullptr;
+  std::vector<asl::RtValue> args;
+
+  DdlFixture() {
+    world.populate(database, 8);
+    load = world.model.find_property("FleetLoad");
+    args = {asl::RtValue::of_object(world.fleets[0])};
+  }
+
+  [[nodiscard]] std::unique_ptr<cosy::EvalBackend> backend(
+      cosy::PlanCache* plans, cosy::ShardResultCache* shards) {
+    cosy::EvalBackendDeps deps;
+    deps.model = &world.model;
+    deps.conn = &conn;
+    deps.plan_cache = plans;
+    deps.shard_cache = shards;
+    return cosy::EvalBackend::create("sql-whole-condition", deps);
+  }
+
+  [[nodiscard]] asl::PropertyResult evaluate(cosy::EvalBackend& on) const {
+    return on.evaluate(*load, args);
+  }
+};
+
+}  // namespace
+
+TEST(ShardCache, RecreatedTableIsNeverServedStaleResults) {
+  DdlFixture f;
+  ASSERT_NE(f.load, nullptr);
+  cosy::ShardResultCache cache;
+  const auto backend = f.backend(nullptr, &cache);
+  EXPECT_EQ(f.evaluate(*backend).severity, 20.0);
+
+  recreate_probes_hot(f.conn);
+  // fleet0 links 40 probes, now at T = 2.0 each.
+  const asl::PropertyResult truth = f.evaluate(*f.backend(nullptr, nullptr));
+  EXPECT_EQ(truth.severity, 80.0);
+  const std::string expected = render_result(truth);
+  // The same backend, and a fresh one over the same cache: both see the
+  // re-created table, not the entries computed on the dropped one.
+  EXPECT_EQ(render_result(f.evaluate(*backend)), expected);
+  EXPECT_EQ(render_result(f.evaluate(*f.backend(nullptr, &cache))), expected);
+}
+
+TEST(ShardCache, RecreatedTableRebuildsThePreparedStatementsAnalysis) {
+  // As the Monitor runs: a plan cache keeps the prepared statement, and with
+  // it the shard analysis and its table handles, across evaluations.
+  DdlFixture f;
+  ASSERT_NE(f.load, nullptr);
+  cosy::PlanCache plans(f.world.model);
+  cosy::ShardResultCache cache;
+  const auto backend = f.backend(&plans, &cache);
+  EXPECT_EQ(f.evaluate(*backend).severity, 20.0);
+  EXPECT_EQ(f.evaluate(*backend).severity, 20.0);
+
+  recreate_probes_hot(f.conn);
+  const std::string expected =
+      render_result(f.evaluate(*f.backend(nullptr, nullptr)));
+  EXPECT_EQ(render_result(f.evaluate(*backend)), expected);
+  EXPECT_EQ(render_result(f.evaluate(*backend)), expected);
 }
 
 // ---------------------------------------------------------------------------

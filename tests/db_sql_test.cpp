@@ -8,7 +8,6 @@
 #include "db/database.hpp"
 #include "db/sql/lexer.hpp"
 #include "db/sql/parser.hpp"
-#include "db/sql/render.hpp"
 #include "support/error.hpp"
 
 namespace db = kojak::db;
@@ -477,49 +476,54 @@ TEST(SqlParser, ParseSingleRejectsMultiStatementScripts) {
 }
 
 // ---------------------------------------------------------------------------
-// Rendering a bound SELECT back to text (what keys shard-result cache entries)
+// Structural keys (what keys the subquery memo and shard-result cache entries)
 
 namespace {
 
-/// Column names, then every value; doubles in hex so the comparison is
-/// bit-exact.
-std::string render_rows(const db::QueryResult& result) {
-  std::string out;
-  for (const std::string& column : result.columns) out += column + "|";
-  out += "\n";
-  for (const db::Row& row : result.rows) {
-    for (const db::Value& value : row) {
-      if (value.type() == db::ValueType::kDouble) {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%a", value.as_double());
-        out += buf;
-      } else {
-        out += value.to_display();
-      }
-      out += "|";
-    }
-    out += "\n";
-  }
-  return out;
+sql::StructuralKey key_of(std::string_view text) {
+  const sql::Statement stmt = sql::parse_single(text);
+  return sql::structural_key(std::get<sql::SelectStmt>(stmt));
 }
 
 }  // namespace
 
-TEST(SqlRender, ShardRenderingRoundTripsTextAndParamOrder) {
-  db::Database database;
-  database.execute("CREATE TABLE t (a INTEGER, b DOUBLE)");
-  db::PreparedStatement stmt = database.prepare(
-      "SELECT COALESCE(SUM(b), 0.0) AS s FROM t WHERE a > ? AND b < ?");
-  auto* select = std::get_if<sql::SelectStmt>(&stmt.ast());
-  ASSERT_NE(select, nullptr);
-  std::string text;
-  std::vector<std::size_t> order;
-  ASSERT_TRUE(sql::render_select_sql(*select, text, order));
-  // The rendered text re-parses and the placeholders keep their order.
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1}));
-  database.execute("INSERT INTO t VALUES (5, 1.5)");
-  const std::vector<db::Value> params = {db::Value::integer(1),
-                                         db::Value::real(9.0)};
-  EXPECT_EQ(render_rows(database.execute(text, params)),
-            render_rows(database.execute(stmt, params)));
+TEST(SqlStructuralKey, SplitsEveryDifferenceThatChangesTheRows) {
+  const std::string_view base =
+      "SELECT SUM(b) AS s FROM t PARTITION (0) WHERE a > 1 AND b < ?";
+  const sql::StructuralKey key = key_of(base);
+  EXPECT_EQ(key, key_of(base));
+  EXPECT_EQ(key.params, (std::vector<std::size_t>{0}));
+  // The selector picks other rows, the alias names the column differently,
+  // and an integer literal compares (and divides) unlike a double one.
+  EXPECT_NE(key, key_of("SELECT SUM(b) AS s FROM t PARTITION (1) "
+                        "WHERE a > 1 AND b < ?"));
+  EXPECT_NE(key, key_of("SELECT SUM(b) AS total FROM t PARTITION (0) "
+                        "WHERE a > 1 AND b < ?"));
+  EXPECT_NE(key, key_of("SELECT SUM(b) AS s FROM t PARTITION (0) "
+                        "WHERE a > 1.0 AND b < ?"));
+  // Two subqueries that differ only in which placeholder they read.
+  const sql::Statement pair = sql::parse_single(
+      "SELECT (SELECT SUM(b) FROM t WHERE a > ?), "
+      "(SELECT SUM(b) FROM t WHERE a > ?)");
+  const auto& items = std::get<sql::SelectStmt>(pair).items;
+  ASSERT_EQ(items.size(), 2u);
+  EXPECT_NE(sql::structural_key(*items[0].expr->subquery),
+            sql::structural_key(*items[1].expr->subquery));
+}
+
+TEST(SqlStructuralKey, OneBodyAtTwoParameterOffsetsSharesItsText) {
+  const sql::Statement stmt = sql::parse_single(
+      "WITH x AS (SELECT a FROM t WHERE a > ? AND b < ?), "
+      "y AS (SELECT a FROM t WHERE a > ? AND b < ?) "
+      "SELECT (SELECT COUNT(*) FROM x), (SELECT COUNT(*) FROM y)");
+  const auto& select = std::get<sql::SelectStmt>(stmt);
+  ASSERT_EQ(select.ctes.size(), 2u);
+  const sql::StructuralKey& x = sql::structural_key(*select.ctes[0].select);
+  const sql::StructuralKey& y = sql::structural_key(*select.ctes[1].select);
+  // The text names the computation wherever it sits; the index lists say
+  // which bound values feed it, in text order.
+  EXPECT_EQ(x.text, y.text);
+  EXPECT_EQ(x.params, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(y.params, (std::vector<std::size_t>{2, 3}));
+  EXPECT_NE(x, y);
 }
